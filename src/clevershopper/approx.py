@@ -11,18 +11,14 @@ book, and each blocked shop has no larger discount.
 
 from __future__ import annotations
 
-from .errors import NotFixedPrice
-from .model import Assignment, Instance, SolveResult, evaluate_assignment
-
-
-def _fixed_prices(instance: Instance) -> list[int]:
-    prices = []
-    for b in range(instance.num_books):
-        offered = {price for _, price in instance.offers_by_book[b]}
-        if len(offered) != 1:
-            raise NotFixedPrice(b)
-        prices.append(next(iter(offered)))
-    return prices
+from .model import (
+    Assignment,
+    Instance,
+    SolveResult,
+    cheapest_plan,
+    evaluate_assignment,
+    fixed_prices,
+)
 
 
 def greedy_max_discount(instance: Instance) -> SolveResult:
@@ -31,19 +27,16 @@ def greedy_max_discount(instance: Instance) -> SolveResult:
     Shops are visited by decreasing discount (ties to the lower index).
     A shop claims every unclaimed book it sells when their total price
     meets its threshold; books left over at the end go to the lowest-index
-    shop offering them.
+    shop offering them, which with fixed prices is their cheapest shop.
     """
-    price = _fixed_prices(instance)
+    price = fixed_prices(instance)
     order = sorted(range(instance.num_shops), key=lambda s: (-instance.rules[s].discount, s))
-    choice: list[int] = [-1] * instance.num_books
+    choice = cheapest_plan(instance)
+    claimed = [False] * instance.num_books
     for s in order:
-        mine = [b for b in instance.books_by_shop[s] if choice[b] == -1]
-        if not mine:
-            continue
-        if sum(price[b] for b in mine) >= instance.rules[s].threshold:
+        mine = [b for b in instance.books_by_shop[s] if not claimed[b]]
+        if mine and sum(price[b] for b in mine) >= instance.rules[s].threshold:
             for b in mine:
                 choice[b] = s
-    for b in range(instance.num_books):
-        if choice[b] == -1:
-            choice[b] = instance.offers_by_book[b][0][0]
+                claimed[b] = True
     return evaluate_assignment(instance, Assignment(tuple(choice)))

@@ -22,7 +22,7 @@ from .fileio import (
     serialize_instance,
     serialize_solution,
 )
-from .model import Instance, SolveResult
+from .model import Instance, SolveResult, discount_earned
 from .reductions import (
     GeneratedInstance,
     from_bin_packing,
@@ -117,7 +117,7 @@ def _print_result(instance: Instance, result: SolveResult) -> None:
         if not books:
             continue
         spend = result.per_shop_spend[s]
-        earned = instance.rules[s].discount if spend >= instance.rules[s].threshold else 0
+        earned = discount_earned(instance.rules[s], spend)
         names = " ".join(instance.book_name(b) for b in books)
         print(f"shop {instance.shop_name(s)}: {names} (spend {spend}, discount {earned})")
 

@@ -27,14 +27,14 @@ from .errors import (
     TooManyBooks,
     TooManyShops,
 )
-from .matching import WeightedEdge, WeightedGraph, matching_weight, max_weight_matching
+from .matching import WeightedEdge, WeightedGraph, max_weight_matching
 from .model import (
     Assignment,
     Instance,
     SolveResult,
-    cheapest_shop,
+    cheapest_plan,
+    discount_earned,
     evaluate_assignment,
-    min_price,
 )
 
 INF = float("inf")
@@ -49,13 +49,15 @@ DEFAULT_MAX_SHOPS_FSTAR = 20
 
 
 def _shop_subset_tables(instance: Instance, shop: int) -> tuple[list[int], list[int]]:
-    """Spend and global-bitmask tables over subsets of one shop's inventory.
+    """Net-price and global-bitmask tables over subsets of one shop's inventory.
 
-    Entry ``ls`` (a bitmask over the shop's own book list) gives the spend
-    for buying exactly those books there and the corresponding bitmask over
-    all books.
+    Entry ``ls`` (a bitmask over the shop's own book list) gives the price
+    of buying exactly those books there, less the shop's discount when that
+    spend earns it, and the corresponding bitmask over all books.  Entry 0
+    is minus the discount of a threshold-0 shop, which buying nothing earns.
     """
     books = instance.books_by_shop[shop]
+    rule = instance.rules[shop]
     k = len(books)
     spends = [0] * (1 << k)
     gmasks = [0] * (1 << k)
@@ -64,7 +66,7 @@ def _shop_subset_tables(instance: Instance, shop: int) -> tuple[list[int], list[
         idx = low.bit_length() - 1
         spends[ls] = spends[ls ^ low] + instance.price[(books[idx], shop)]
         gmasks[ls] = gmasks[ls ^ low] | (1 << books[idx])
-    return spends, gmasks
+    return [spend - discount_earned(rule, spend) for spend in spends], gmasks
 
 
 def subset_dp_min_cost(instance: Instance, *, max_books: int = DEFAULT_MAX_BOOKS) -> SolveResult:
@@ -88,17 +90,13 @@ def subset_dp_min_cost(instance: Instance, *, max_books: int = DEFAULT_MAX_BOOKS
     tables: list[tuple[list[int], list[int]]] = []
 
     for s in range(m):
-        rule = instance.rules[s]
-        spends, gmasks = _shop_subset_tables(instance, s)
-        tables.append((spends, gmasks))
+        net, gmasks = _shop_subset_tables(instance, s)
+        tables.append((net, gmasks))
         prev = layers[-1]
-        base = -rule.discount if rule.threshold == 0 else 0
+        base = net[0]
         cur = [v + base for v in prev]
-        threshold = rule.threshold
-        discount = rule.discount
-        for ls in range(1, len(spends)):
-            spend = spends[ls]
-            value = spend - discount if spend >= threshold else spend
+        for ls in range(1, len(net)):
+            value = net[ls]
             g = gmasks[ls]
             comp = full ^ g
             t = comp
@@ -118,22 +116,15 @@ def subset_dp_min_cost(instance: Instance, *, max_books: int = DEFAULT_MAX_BOOKS
     choice = [-1] * n
     mask = full
     for s in range(m - 1, -1, -1):
-        rule = instance.rules[s]
-        spends, gmasks = tables[s]
+        net, gmasks = tables[s]
         target = layers[s + 1][mask]
         prev = layers[s]
-        base = -rule.discount if rule.threshold == 0 else 0
         picked = None
-        for ls in range(len(spends)):
+        for ls in range(len(net)):
             g = gmasks[ls]
             if g & ~mask:
                 continue
-            if ls == 0:
-                value = base
-            else:
-                spend = spends[ls]
-                value = spend - rule.discount if spend >= rule.threshold else spend
-            if value + prev[mask ^ g] == target:
+            if net[ls] + prev[mask ^ g] == target:
                 picked = ls
                 break
         assert picked is not None
@@ -258,7 +249,7 @@ def build_discount_graph(instance: Instance) -> WeightedGraph:
     constant.
     """
     n = instance.num_books
-    base = [min_price(instance, b) for b in range(n)]
+    base = [price for _, price in instance.cheapest]
     chosen: dict[tuple[int, int], tuple[int, int]] = {}
     for s, rule in enumerate(instance.rules):
         books = instance.books_by_shop[s]
@@ -297,21 +288,22 @@ def matching2_min_cost(instance: Instance) -> SolveResult:
     n = instance.num_books
     graph = build_discount_graph(instance)
     matched = max_weight_matching(graph)
-    weight = matching_weight(graph, matched)
     free = sum(rule.discount for rule in instance.rules if rule.threshold == 0)
 
-    tag_of = {(min(e.u, e.v), max(e.u, e.v)): e.tag for e in graph.edges}
-    choice = [cheapest_shop(instance, b) for b in range(n)]
+    edge_at = {(e.u, e.v): e for e in graph.edges}  # built with u < v, as matched
+    choice = cheapest_plan(instance)
+    weight = 0
     for (u, v) in matched:
+        edge = edge_at[(u, v)]
+        weight += edge.weight
         if v >= n:
             choice[u] = v - n  # buy this book alone at the shop
         else:
-            shop = tag_of[(u, v)]
-            assert shop is not None
-            choice[u] = choice[v] = shop  # buy the pair at the tagged shop
+            assert edge.tag is not None
+            choice[u] = choice[v] = edge.tag  # buy the pair at the tagged shop
 
     result = evaluate_assignment(instance, Assignment(tuple(choice)))
-    assert result.total_cost == sum(min_price(instance, b) for b in range(n)) - weight - free
+    assert result.total_cost == sum(price for _, price in instance.cheapest) - weight - free
     return result
 
 
@@ -330,50 +322,64 @@ def max_fstar_subgraph(instance: Instance, bound: StarDegreeBound) -> tuple[tupl
     at most its cap.  Augmenting-path maximum flow on the unit-capacity
     network source -> books (cap 1) -> shops (availability) -> sink (cap
     per shop); returns the chosen (book, shop) edges.
+
+    Each shop has ``cap`` interchangeable slots.  A book tries its shops in
+    ascending order and, within a shop, the slots in order.  Slots fill
+    from the front and each search tries them from the front, so a shop's
+    held slots and its slots tried by the current search are both
+    prefixes: a list of holders and a counter describe them exactly.
     """
     m = instance.num_shops
-    if len(bound.shop_caps) != m:
-        raise InfeasibleParameters(
-            f"need {m} shop caps, got {len(bound.shop_caps)}"
-        )
-    n = instance.num_books
-    slot_shop: list[int] = []
-    slot_start = []
-    for s, cap in enumerate(bound.shop_caps):
+    caps = bound.shop_caps
+    if len(caps) != m:
+        raise InfeasibleParameters(f"need {m} shop caps, got {len(caps)}")
+    for s, cap in enumerate(caps):
         if cap < 0:
             raise NegativeValue(f"cap of shop {s}", cap)
-        slot_start.append(len(slot_shop))
-        slot_shop.extend([s] * min(cap, n))  # more than n slots can never fill
+    n = instance.num_books
+    shops_of = [[s for s, _ in instance.offers_by_book[b] if caps[s]] for b in range(n)]
+    holders: list[list[int]] = [[] for _ in range(m)]  # per shop, book in each held slot
+    shop_of = [-1] * n
+    free = sum(caps)
 
-    adj: list[list[int]] = []
-    for b in range(n):
-        slots: list[int] = []
-        for shop, _ in instance.offers_by_book[b]:
-            begin = slot_start[shop]
-            end = begin + min(bound.shop_caps[shop], n)
-            slots.extend(range(begin, end))
-        adj.append(slots)
+    for root in range(n):
+        if not free:
+            break  # every slot is held, so no search can succeed
+        # Depth-first search for an augmenting path, on an explicit stack:
+        # path[i] is a book, at[i] the index of the shop it is trying, and
+        # slots[i] the (shop, slot) it would take from path[i + 1].
+        tried = [0] * m
+        path, at, slots = [root], [0], []
+        while path:
+            b = path[-1]
+            options = shops_of[b]
+            while at[-1] < len(options):
+                s = options[at[-1]]
+                slot = tried[s]
+                if slot == caps[s]:
+                    at[-1] += 1
+                    continue
+                tried[s] += 1
+                if slot == len(holders[s]):  # a free slot: flip the path
+                    free -= 1
+                    holders[s].append(b)
+                    shop_of[b] = s
+                    for book, (t, i) in zip(path, slots):
+                        holders[t][i] = book
+                        shop_of[book] = t
+                    path = []
+                    break
+                slots.append((s, slot))
+                path.append(holders[s][slot])
+                at.append(0)
+                break
+            else:
+                path.pop()
+                at.pop()
+                if slots:
+                    slots.pop()
 
-    slot_book = [-1] * len(slot_shop)
-    book_slot = [-1] * n
-
-    def augment(b: int, banned: set[int]) -> bool:
-        for t in adj[b]:
-            if t in banned:
-                continue
-            banned.add(t)
-            if slot_book[t] == -1 or augment(slot_book[t], banned):
-                book_slot[b] = t
-                slot_book[t] = b
-                return True
-        return False
-
-    for b in range(n):
-        augment(b, set())
-
-    return tuple(
-        (b, slot_shop[book_slot[b]]) for b in range(n) if book_slot[b] != -1
-    )
+    return tuple((b, s) for b, s in enumerate(shop_of) if s != -1)
 
 
 def fstar_unit_price_min_cost(
@@ -411,12 +417,9 @@ def fstar_unit_price_min_cost(
             best = (cost, shops, star)
     assert best is not None  # the empty set always qualifies
 
-    choice = [-1] * n
+    choice = cheapest_plan(instance)
     for b, s in best[2]:
         choice[b] = s
-    for b in range(n):
-        if choice[b] == -1:
-            choice[b] = instance.offers_by_book[b][0][0]
     result = evaluate_assignment(instance, Assignment(tuple(choice)))
     assert result.total_cost == best[0]
     return result

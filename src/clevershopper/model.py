@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -23,6 +24,7 @@ from .errors import (
     DanglingIndex,
     DuplicateOffer,
     NegativeValue,
+    NotFixedPrice,
     OfferMissing,
 )
 
@@ -81,6 +83,11 @@ class Instance:
         return tuple(tuple(sorted(pairs)) for pairs in per_book)
 
     @cached_property
+    def cheapest(self) -> tuple[tuple[int, int], ...]:
+        """Per book, its cheapest (shop, price) offer, ties to the lower shop."""
+        return tuple(min(pairs, key=itemgetter(1)) for pairs in self.offers_by_book)
+
+    @cached_property
     def books_by_shop(self) -> tuple[tuple[int, ...], ...]:
         """Per shop, the books it sells, ascending."""
         per_shop: list[list[int]] = [[] for _ in range(self.num_shops)]
@@ -137,7 +144,6 @@ def validate_instance(instance: Instance) -> Instance:
         if rule.threshold < 0:
             raise NegativeValue(f"threshold of shop {s}", rule.threshold)
     seen: set[tuple[int, int]] = set()
-    covered = [False] * instance.num_books
     for o in instance.offers:
         if not 0 <= o.book < instance.num_books:
             raise DanglingIndex("book", o.book, instance.num_books)
@@ -148,10 +154,10 @@ def validate_instance(instance: Instance) -> Instance:
         if (o.book, o.shop) in seen:
             raise DuplicateOffer(o.book, o.shop)
         seen.add((o.book, o.shop))
-        covered[o.book] = True
-    for b, ok in enumerate(covered):
-        if not ok:
-            raise BookUncovered(b)
+    covered = {o.book for o in instance.offers}
+    if len(covered) < instance.num_books:
+        # The first gap is among the first len(covered) + 1 books.
+        raise BookUncovered(next(b for b in range(instance.num_books) if b not in covered))
     if instance.book_names is not None and len(instance.book_names) != instance.num_books:
         raise DanglingIndex("book name", len(instance.book_names), instance.num_books)
     if instance.shop_names is not None and len(instance.shop_names) != instance.num_shops:
@@ -164,20 +170,35 @@ def discount_earned(rule: DiscountRule, spend: int) -> int:
     return rule.discount if spend >= rule.threshold else 0
 
 
-def min_price(instance: Instance, book: int) -> int:
-    """Cheapest offer price for a book, ignoring discounts."""
+def _cheapest_offer(instance: Instance, book: int) -> tuple[int, int]:
     if not 0 <= book < instance.num_books:
         raise DanglingIndex("book", book, instance.num_books)
-    return min(price for _, price in instance.offers_by_book[book])
+    return instance.cheapest[book]
+
+
+def min_price(instance: Instance, book: int) -> int:
+    """Cheapest offer price for a book, ignoring discounts."""
+    return _cheapest_offer(instance, book)[1]
 
 
 def cheapest_shop(instance: Instance, book: int) -> int:
     """Lowest-index shop attaining ``min_price`` for the book."""
-    best_shop, best_price = instance.offers_by_book[book][0]
-    for shop, price in instance.offers_by_book[book][1:]:
-        if price < best_price:
-            best_shop, best_price = shop, price
-    return best_shop
+    return _cheapest_offer(instance, book)[0]
+
+
+def cheapest_plan(instance: Instance) -> list[int]:
+    """Every book at its cheapest shop: the choice list solvers start from
+    before the shops that earn their discount claim books."""
+    return [shop for shop, _ in instance.cheapest]
+
+
+def fixed_prices(instance: Instance) -> list[int]:
+    """The one price of each book, for instances where every shop offering
+    a book charges the same for it; raises ``NotFixedPrice`` otherwise."""
+    for book, options in enumerate(instance.offers_by_book):
+        if len({price for _, price in options}) > 1:
+            raise NotFixedPrice(book)
+    return [price for _, price in instance.cheapest]
 
 
 def evaluate_assignment(instance: Instance, assignment: Assignment) -> SolveResult:

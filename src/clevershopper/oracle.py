@@ -9,16 +9,10 @@ from __future__ import annotations
 
 from math import prod
 
-from .errors import NotFixedPrice, SearchSpaceTooLarge
-from .model import Assignment, Instance, SolveResult, discount_earned, evaluate_assignment
+from .errors import SearchSpaceTooLarge
+from .model import Assignment, Instance, SolveResult, evaluate_assignment, fixed_prices
 
 DEFAULT_SEARCH_CAP = 10_000_000
-
-
-def _check_size(instance: Instance, cap: int) -> None:
-    size = prod(len(options) for options in instance.offers_by_book)
-    if size > cap:
-        raise SearchSpaceTooLarge(size, cap)
 
 
 def brute_force_min_cost(instance: Instance, *, cap: int = DEFAULT_SEARCH_CAP) -> SolveResult:
@@ -29,76 +23,56 @@ def brute_force_min_cost(instance: Instance, *, cap: int = DEFAULT_SEARCH_CAP) -
     lexicographically smallest optimal choice.  Raises
     ``SearchSpaceTooLarge`` when the number of assignments exceeds ``cap``.
     """
-    _check_size(instance, cap)
-    n = instance.num_books
-    rules = instance.rules
     per_book = instance.offers_by_book
+    size = prod(len(options) for options in per_book)
+    if size > cap:
+        raise SearchSpaceTooLarge(size, cap)
+    rules = instance.rules
+    # pick[b] indexes book b's options; spends and gross follow every move.
+    pick = [0] * instance.num_books
     spends = [0] * instance.num_shops
-    choice = [0] * n
+    for options in per_book:
+        shop, price = options[0]
+        spends[shop] += price
+    gross = sum(spends)
     best_cost: int | None = None
-    best_choice: tuple[int, ...] | None = None
-    gross = 0
-
-    def visit(i: int) -> None:
-        nonlocal gross, best_cost, best_choice
-        if i == n:
-            cost = gross
-            for s, rule in enumerate(rules):
-                if spends[s] >= rule.threshold:
-                    cost -= rule.discount
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_choice = tuple(choice)
-            return
-        for shop, price in per_book[i]:
-            choice[i] = shop
-            spends[shop] += price
-            gross += price
-            visit(i + 1)
+    best_pick: tuple[int, ...] = ()
+    while True:
+        cost = gross
+        for s, rule in enumerate(rules):
+            if spends[s] >= rule.threshold:
+                cost -= rule.discount
+        if best_cost is None or cost < best_cost:
+            best_cost = cost
+            best_pick = tuple(pick)
+        # Step to the next choice in lexicographic order, like an odometer:
+        # trailing books on their last option wrap to their first.
+        b = len(pick) - 1
+        while b >= 0:
+            options = per_book[b]
+            shop, price = options[pick[b]]
             spends[shop] -= price
             gross -= price
-
-    visit(0)
-    assert best_choice is not None
-    return evaluate_assignment(instance, Assignment(best_choice))
+            pick[b] = (pick[b] + 1) % len(options)
+            shop, price = options[pick[b]]
+            spends[shop] += price
+            gross += price
+            if pick[b]:
+                break
+            b -= 1
+        else:
+            break
+    choice = tuple(per_book[b][i][0] for b, i in enumerate(best_pick))
+    return evaluate_assignment(instance, Assignment(choice))
 
 
 def brute_force_max_discount(instance: Instance, *, cap: int = DEFAULT_SEARCH_CAP) -> SolveResult:
     """Maximum-total-discount assignment, for fixed-price instances.
 
     Requires every book to cost the same at all shops offering it
-    (``NotFixedPrice`` otherwise); with fixed prices the gross spend is the
-    same for every assignment, so maximising the discount also minimises
-    the cost.  Tie-breaking matches ``brute_force_min_cost``.
+    (``NotFixedPrice`` otherwise).  The gross spend is then the same for
+    every assignment, so this is ``brute_force_min_cost``: the cheapest
+    assignment earns the largest discount, with the same tie-breaking.
     """
-    for book, options in enumerate(instance.offers_by_book):
-        if len({price for _, price in options}) > 1:
-            raise NotFixedPrice(book)
-    _check_size(instance, cap)
-    n = instance.num_books
-    rules = instance.rules
-    per_book = instance.offers_by_book
-    spends = [0] * instance.num_shops
-    choice = [0] * n
-    best_discount: int | None = None
-    best_choice: tuple[int, ...] | None = None
-
-    def visit(i: int) -> None:
-        nonlocal best_discount, best_choice
-        if i == n:
-            total = sum(
-                discount_earned(rule, spends[s]) for s, rule in enumerate(rules)
-            )
-            if best_discount is None or total > best_discount:
-                best_discount = total
-                best_choice = tuple(choice)
-            return
-        for shop, price in per_book[i]:
-            choice[i] = shop
-            spends[shop] += price
-            visit(i + 1)
-            spends[shop] -= price
-
-    visit(0)
-    assert best_choice is not None
-    return evaluate_assignment(instance, Assignment(best_choice))
+    fixed_prices(instance)
+    return brute_force_min_cost(instance, cap=cap)

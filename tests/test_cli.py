@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from clevershopper import (
+    make_instance,
     parse_instance,
     parse_solution,
     random_instance,
@@ -125,6 +126,39 @@ class TestSolve:
         )
         assert code == 3
         assert "error:" in err
+
+    def test_oracle_on_long_single_offer_file(self, capsys, tmp_path):
+        # 3000 books with one offer each: a search space of one assignment,
+        # but three times deeper than Python's default recursion limit.
+        n = 3000
+        path = tmp_path / "long.cshop"
+        path.write_text(serialize_instance(make_instance(
+            n, [(5, 10), (0, 0)], [(b, b % 2, 3) for b in range(n)]
+        )))
+        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--algo", "oracle")
+        assert code == 0
+        assert f"cost {3 * n - 5}" in out
+
+    def test_fstar_long_augmenting_paths(self, capsys, tmp_path):
+        # The first shop's n-1 slots fill through augmenting paths as long
+        # as the number of books already placed.
+        n = 1100
+        path = tmp_path / "chain.cshop"
+        path.write_text(serialize_instance(make_instance(
+            n, [(1, n - 1), (1, 2), (0, 0)], [(b, s, 1) for b in range(n) for s in (0, 1)]
+        )))
+        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--algo", "fstar")
+        assert code == 0
+        assert f"cost {n - 1}" in out
+
+    def test_huge_book_count_is_bad_input(self, capsys, tmp_path):
+        path = tmp_path / "huge.cshop"
+        path.write_text(
+            "CLEVERSHOP 1\nBOOKS 1000000000000000\nSHOPS 1\nSHOP 1 0 0\nOFFER 1 1 5\n"
+        )
+        code, _, err = run_cli(capsys, "solve", "--input", str(path), "--algo", "oracle")
+        assert code == 2
+        assert "offered by no shop" in err
 
 
 class TestGenerate:

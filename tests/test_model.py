@@ -57,6 +57,12 @@ class TestValidation:
             make_instance(2, [(1, 1)], [(0, 0, 5)])
         assert err.value.book == 1
 
+    def test_uncovered_book_of_huge_declared_count(self):
+        # Found from the offers, without a table the size of the count.
+        with pytest.raises(BookUncovered) as err:
+            make_instance(10**15, [(0, 0)], [(0, 0, 5)])
+        assert err.value.book == 1
+
     def test_duplicate_offer(self):
         with pytest.raises(DuplicateOffer) as err:
             make_instance(1, [(1, 1)], [(0, 0, 12), (0, 0, 10)])
@@ -103,6 +109,11 @@ class TestAccessors:
     def test_min_price_unknown_book(self, five_books):
         with pytest.raises(DanglingIndex):
             min_price(five_books, 5)
+
+    @pytest.mark.parametrize("book", [-1, 5])
+    def test_cheapest_shop_unknown_book(self, five_books, book):
+        with pytest.raises(DanglingIndex):
+            cheapest_shop(five_books, book)
 
     def test_cheapest_shop_prefers_low_index_on_tie(self):
         inst = make_instance(1, [(0, 1), (0, 1), (0, 1)],
