@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 solved / feasible / check passed, 1 infeasible budget or
-failed check, 2 bad input, 3 solver size cap or timeout.
+failed check, 2 bad input, 3 solver size cap.
 """
 
 from __future__ import annotations
@@ -112,10 +112,10 @@ def _read(path: str) -> str:
 def _print_result(instance: Instance, result: SolveResult) -> None:
     print(f"cost {result.total_cost}")
     print(f"discount {result.total_discount}")
-    for s in range(instance.num_shops):
-        books = [b for b, shop in enumerate(result.assignment.choice) if shop == s]
-        if not books:
-            continue
+    books_at: dict[int, list[int]] = {}
+    for b, shop in enumerate(result.assignment.choice):
+        books_at.setdefault(shop, []).append(b)
+    for s, books in sorted(books_at.items()):
         spend = result.per_shop_spend[s]
         earned = discount_earned(instance.rules[s], spend)
         names = " ".join(instance.book_name(b) for b in books)

@@ -1,5 +1,8 @@
 """Exception types shared across the package.
 
+Messages name books and shops as instance files and solve output do
+(``b1``, ``s1``: 1-based); the exception fields stay 0-based indices.
+
 Two broad families matter to callers: ``InputError`` covers malformed or
 out-of-contract data (bad files, invalid instances, violated solver
 preconditions) and maps to CLI exit code 2, while ``ResourceLimitError``
@@ -28,14 +31,14 @@ class ResourceLimitError(CleverShopperError):
 class BookUncovered(InputError):
     def __init__(self, book: int):
         self.book = book
-        super().__init__(f"book {book} is offered by no shop")
+        super().__init__(f"book b{book + 1} is offered by no shop")
 
 
 class DuplicateOffer(InputError):
     def __init__(self, book: int, shop: int):
         self.book = book
         self.shop = shop
-        super().__init__(f"duplicate offer for book {book} at shop {shop}")
+        super().__init__(f"duplicate offer for book b{book + 1} at shop s{shop + 1}")
 
 
 class NegativeValue(InputError):
@@ -60,7 +63,7 @@ class OfferMissing(InputError):
     def __init__(self, book: int, shop: int):
         self.book = book
         self.shop = shop
-        super().__init__(f"no offer for book {book} at shop {shop}")
+        super().__init__(f"no offer for book b{book + 1} at shop s{shop + 1}")
 
 
 # --- solver caps and preconditions -----------------------------------------
@@ -98,7 +101,7 @@ class DegreeTooHigh(InputError):
     def __init__(self, shop: int, degree: int):
         self.shop = shop
         self.degree = degree
-        super().__init__(f"shop {shop} sells {degree} books, solver handles at most 2")
+        super().__init__(f"shop s{shop + 1} sells {degree} books, solver handles at most 2")
 
 
 class NotUnitPrice(InputError):
@@ -106,13 +109,15 @@ class NotUnitPrice(InputError):
         self.book = book
         self.shop = shop
         self.price = price
-        super().__init__(f"offer for book {book} at shop {shop} has price {price}, expected 1")
+        super().__init__(
+            f"offer for book b{book + 1} at shop s{shop + 1} has price {price}, expected 1"
+        )
 
 
 class NotFixedPrice(InputError):
     def __init__(self, book: int):
         self.book = book
-        super().__init__(f"book {book} is offered at differing prices")
+        super().__init__(f"book b{book + 1} is offered at differing prices")
 
 
 # --- instance generators ----------------------------------------------------

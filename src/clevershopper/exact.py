@@ -283,7 +283,8 @@ def matching2_min_cost(instance: Instance) -> SolveResult:
 
     The cost equals (sum of per-book minimum prices) minus the weight of a
     maximum matching in the derived graph, minus the discounts of
-    threshold-0 shops which are earned no matter what.
+    threshold-0 shops which are earned no matter what.  Returns one
+    cheapest plan; which one, among equally cheap plans, is not fixed.
     """
     n = instance.num_books
     graph = build_discount_graph(instance)

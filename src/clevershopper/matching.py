@@ -1,10 +1,15 @@
 """Maximum-weight matching in general graphs.
 
-Primal-dual blossom algorithm, O(V^3).  The implementation follows the
-classic stage structure: each stage grows alternating trees from the
-unmatched vertices, shrinking odd cycles into blossoms, until it either
-finds an augmenting path or proves that none exists under the current
-dual variables, in which case the duals are adjusted by the least slack.
+Primal-dual blossom algorithm, O(V^2 (V + E)).  The implementation
+follows the classic stage structure: each stage grows alternating trees
+from the unmatched vertices, shrinking odd cycles into blossoms, until it
+either finds an augmenting path or proves that none exists under the
+current dual variables, in which case the duals are adjusted by the least
+slack.  Each dual step finds that slack with one O(V + E) scan over the
+edges.  Least-slack edge lists per vertex and blossom would bound a step
+by O(V) on dense graphs, but the package's one caller,
+``build_discount_graph``, emits at most 3 edges per shop, so E < 3V and
+the scan costs no more.
 Edge slacks are computed as dual[i] + dual[j] - 2*weight so that all dual
 arithmetic stays integral for integer edge weights.
 
@@ -94,8 +99,6 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
     blossomchilds: list[list[int] | None] = (2 * nvertex) * [None]
     blossombase = list(range(nvertex)) + nvertex * [-1]
     blossomendps: list[list[int] | None] = (2 * nvertex) * [None]
-    bestedge = (2 * nvertex) * [-1]
-    blossombestedges: list[list[int] | None] = (2 * nvertex) * [None]
     unusedblossoms = list(range(nvertex, 2 * nvertex))
 
     # Duals are pre-multiplied by two relative to the LP formulation, which
@@ -127,7 +130,6 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
         assert label[w] == 0 and label[b] == 0
         label[w] = label[b] = t
         labelend[w] = labelend[b] = p
-        bestedge[w] = bestedge[b] = -1
         if t == 1:
             # S-vertex/blossom: all its vertices become scan sources.
             queue.extend(blossom_leaves(b))
@@ -207,34 +209,6 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
                 # Former T-vertices become S-vertices; scan them.
                 queue.append(leaf)
             inblossom[leaf] = b
-        # Merge least-slack edge lists of the sub-blossoms.
-        bestedgeto = (2 * nvertex) * [-1]
-        for bv in path:
-            if blossombestedges[bv] is None:
-                nblists = [
-                    [p // 2 for p in neighbend[leaf]] for leaf in blossom_leaves(bv)
-                ]
-            else:
-                nblists = [blossombestedges[bv]]  # type: ignore[list-item]
-            for nblist in nblists:
-                for k2 in nblist:
-                    (i, j, _) = edges[k2]
-                    if inblossom[j] == b:
-                        i, j = j, i
-                    bj = inblossom[j]
-                    if (
-                        bj != b
-                        and label[bj] == 1
-                        and (bestedgeto[bj] == -1 or slack(k2) < slack(bestedgeto[bj]))
-                    ):
-                        bestedgeto[bj] = k2
-            blossombestedges[bv] = None
-            bestedge[bv] = -1
-        blossombestedges[b] = [k2 for k2 in bestedgeto if k2 != -1]
-        bestedge[b] = -1
-        for k2 in blossombestedges[b]:  # type: ignore[union-attr]
-            if bestedge[b] == -1 or slack(k2) < slack(bestedge[b]):
-                bestedge[b] = k2
 
     def expand_blossom(b: int, endstage: bool) -> None:
         """Undo the shrinking of blossom b (at stage end, or when its dual
@@ -281,7 +255,6 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
             bv = childs[j]
             label[endpoint[p ^ 1]] = label[bv] = 2
             labelend[endpoint[p ^ 1]] = labelend[bv] = p
-            bestedge[bv] = -1
             j += jstep
             while childs[j] != entrychild:
                 bv = childs[j]
@@ -301,8 +274,6 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
         label[b] = labelend[b] = -1
         blossomchilds[b] = blossomendps[b] = None
         blossombase[b] = -1
-        blossombestedges[b] = None
-        bestedge[b] = -1
         unusedblossoms.append(b)
 
     def augment_blossom(b: int, v: int) -> None:
@@ -371,9 +342,6 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
         # Stage: grow alternating trees from all unmatched vertices until
         # an augmenting path is found or the duals prove optimality.
         label[:] = (2 * nvertex) * [0]
-        bestedge[:] = (2 * nvertex) * [-1]
-        for b in range(nvertex, 2 * nvertex):
-            blossombestedges[b] = None
         allowedge[:] = nedge * [False]
         queue[:] = []
 
@@ -391,11 +359,8 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
                     w = endpoint[p]
                     if inblossom[v] == inblossom[w]:
                         continue  # intra-blossom edge
-                    kslack = 0
-                    if not allowedge[k]:
-                        kslack = slack(k)
-                        if kslack <= 0:
-                            allowedge[k] = True
+                    if not allowedge[k] and slack(k) <= 0:
+                        allowedge[k] = True
                     if allowedge[k]:
                         if label[inblossom[w]] == 0:
                             assign_label(w, 2, p ^ 1)
@@ -413,41 +378,33 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
                             assert label[inblossom[w]] == 2
                             label[w] = 2
                             labelend[w] = p ^ 1
-                    elif label[inblossom[w]] == 1:
-                        b = inblossom[v]
-                        if bestedge[b] == -1 or kslack < slack(bestedge[b]):
-                            bestedge[b] = k
-                    elif label[w] == 0:
-                        if bestedge[w] == -1 or kslack < slack(bestedge[w]):
-                            bestedge[w] = k
 
             if augmented:
                 break
 
             # No augmenting path under the current duals; compute the
-            # least slack and adjust.
+            # least slack and adjust.  One scan over the edges finds delta2
+            # (S to free) and delta3 (S to another S, half the slack).
             deltatype = 1
             delta = max(0, min(dualvar[:nvertex]))
             deltaedge = -1
             deltablossom = -1
 
-            for v in range(nvertex):
-                if label[inblossom[v]] == 0 and bestedge[v] != -1:
-                    d = slack(bestedge[v])
-                    if d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge = bestedge[v]
-
-            for b in range(2 * nvertex):
-                if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
-                    kslack = slack(bestedge[b])
-                    assert kslack % 2 == 0
-                    d = kslack // 2
-                    if d < delta:
-                        delta = d
-                        deltatype = 3
-                        deltaedge = bestedge[b]
+            for k, (i, j, wt) in enumerate(edges):
+                bi = inblossom[i]
+                bj = inblossom[j]
+                if label[bi] != 1:
+                    bi, bj = bj, bi
+                if label[bi] != 1 or bi == bj or label[bj] == 2:
+                    continue
+                d = dualvar[i] + dualvar[j] - 2 * wt
+                if label[bj] == 1:
+                    assert d % 2 == 0
+                    d //= 2
+                if d < delta:
+                    delta = d
+                    deltatype = 3 if label[bj] == 1 else 2
+                    deltaedge = k
 
             for b in range(nvertex, 2 * nvertex):
                 if (

@@ -160,6 +160,39 @@ class TestSolve:
         assert code == 2
         assert "offered by no shop" in err
 
+    def test_uncovered_book_named_as_in_file(self, capsys, tmp_path):
+        path = tmp_path / "gap.cshop"
+        path.write_text(
+            "CLEVERSHOP 1\nBOOKS 3\nSHOPS 1\nSHOP 1 0 0\nOFFER 1 1 5\nOFFER 3 1 5\n"
+        )
+        code, _, err = run_cli(capsys, "solve", "--input", str(path), "--algo", "oracle")
+        assert code == 2
+        assert "book b2 is offered by no shop" in err
+
+    @pytest.mark.parametrize(
+        "algo, message",
+        [
+            ("fstar", "offer for book b1 at shop s1 has price 12, expected 1"),
+            ("greedy", "book b2 is offered at differing prices"),
+        ],
+        ids=["fstar", "greedy"],
+    )
+    def test_out_of_scope_named_as_in_file(self, capsys, five_books_path, algo, message):
+        code, _, err = run_cli(
+            capsys, "solve", "--input", str(five_books_path), "--algo", algo
+        )
+        assert code == 2
+        assert message in err
+
+    def test_degree_too_high_named_as_in_file(self, capsys, tmp_path):
+        path = tmp_path / "wide.cshop"
+        path.write_text(serialize_instance(make_instance(
+            3, [(1, 1), (1, 1)], [(b, s, 2) for b in range(3) for s in (0, 1) if (b, s) != (0, 1)]
+        )))
+        code, _, err = run_cli(capsys, "solve", "--input", str(path), "--algo", "matching2")
+        assert code == 2
+        assert "shop s1 sells 3 books" in err
+
 
 class TestGenerate:
     def test_partition(self, capsys, tmp_path):
@@ -327,6 +360,16 @@ class TestCheck:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_missing_offer_named_as_in_file(self, capsys, tmp_path, five_books_path):
+        sol = self.make_pair(capsys, tmp_path, five_books_path)
+        sol.write_text(sol.read_text().replace("ASSIGN 3 4", "ASSIGN 3 1"))
+        code, _, err = run_cli(
+            capsys, "check", "--input", str(five_books_path),
+            "--solution", str(sol),
+        )
+        assert code == 2
+        assert "no offer for book b3 at shop s1" in err
 
 
 class TestBench:

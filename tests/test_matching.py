@@ -117,15 +117,25 @@ class TestGraphChecks:
 
 
 class TestAgainstExhaustive:
-    def test_random_sweep(self):
-        rng = random.Random(20260816)
+    @pytest.mark.parametrize(
+        "seed, sizes, edge_prob, weights",
+        [
+            (20260816, (2, 9), 0.5, (-3, 9)),
+            # Sparse graphs with few distinct weights: many equally heavy
+            # matchings, and vertices left isolated.
+            (20261018, (11, 16), 0.25, (0, 3)),
+        ],
+        ids=["dense", "sparse-ties"],
+    )
+    def test_random_sweep(self, seed, sizes, edge_prob, weights):
+        rng = random.Random(seed)
         for _ in range(300):
-            n = rng.randint(2, 9)
+            n = rng.randint(*sizes)
             triples = [
-                (u, v, rng.randint(-3, 9))
+                (u, v, rng.randint(*weights))
                 for u in range(n)
                 for v in range(u + 1, n)
-                if rng.random() < 0.5
+                if rng.random() < edge_prob
             ]
             g = graph(n, triples)
             m = max_weight_matching(g)
