@@ -34,6 +34,14 @@ class BookUncovered(InputError):
         super().__init__(f"book b{book + 1} is offered by no shop")
 
 
+class BookUnassigned(BookUncovered):
+    """A solution, not the instance, leaves the book without a shop."""
+
+    def __init__(self, book: int):
+        self.book = book
+        InputError.__init__(self, f"the solution assigns book b{book + 1} to no shop")
+
+
 class DuplicateOffer(InputError):
     def __init__(self, book: int, shop: int):
         self.book = book
@@ -53,7 +61,9 @@ class DanglingIndex(InputError):
         self.kind = kind
         self.index = index
         self.limit = limit
-        super().__init__(f"{kind} index {index} out of range (have {limit})")
+        prefix = {"book": "b", "shop": "s"}.get(kind)
+        name = f"{prefix}{index + 1}" if prefix else f"index {index}"
+        super().__init__(f"{kind} {name} out of range (have {limit})")
 
 
 # --- evaluation ------------------------------------------------------------

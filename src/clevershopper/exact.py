@@ -1,9 +1,11 @@
 """Exact solvers, each tuned to a different instance regime.
 
-* ``subset_dp_min_cost``: few books, any shops.  Dynamic program over book
-  subsets: after processing shops 0..j, dp[B] is the cheapest way to buy
-  exactly the books in B from those shops.  O(m * 3^n) worst case, but the
-  per-shop enumeration only ranges over subsets of that shop's inventory.
+* ``subset_dp_min_cost``: few books, any shops.  Cheapest plan plus a
+  dynamic program over disjoint earning sets: start from every book at its
+  cheapest shop, and let each shop that earns its discount claim a set of
+  books, keeping the largest total saving per set of claimed books.
+  O(m * 2^n * e) time, where e is the most earning sets of one shop; they
+  are threshold-minimal, so a shop selling k books has at most C(k, k/2).
 * ``price_vector_dp``: few shops, pseudo-polynomial in prices.  Forward
   reachability over per-shop spend vectors, one book at a time.
 * ``matching2_min_cost``: every shop sells at most two books.  Reduces to
@@ -33,11 +35,8 @@ from .model import (
     Instance,
     SolveResult,
     cheapest_plan,
-    discount_earned,
     evaluate_assignment,
 )
-
-INF = float("inf")
 
 DEFAULT_MAX_BOOKS = 20
 DEFAULT_MAX_SHOPS_DP = 4
@@ -48,95 +47,83 @@ DEFAULT_MAX_SHOPS_FSTAR = 20
 # --- subset dynamic program -------------------------------------------------
 
 
-def _shop_subset_tables(instance: Instance, shop: int) -> tuple[list[int], list[int]]:
-    """Net-price and global-bitmask tables over subsets of one shop's inventory.
+def _earning_sets(instance: Instance, shop: int) -> list[tuple[int, int]]:
+    """The sets of books that earn the shop's discount at a profit.
 
-    Entry ``ls`` (a bitmask over the shop's own book list) gives the price
-    of buying exactly those books there, less the shop's discount when that
-    spend earns it, and the corresponding bitmask over all books.  Entry 0
-    is minus the discount of a threshold-0 shop, which buying nothing earns.
+    Returns (global book mask, saving) for each threshold-minimal set: its
+    spend at the shop reaches the threshold, and drops below it without any
+    one of its books.  The saving is the discount less the set's premium
+    over buying each of its books at its cheapest shop; only positive
+    savings are kept.  A threshold-0 shop has one such set, the empty one.
     """
-    books = instance.books_by_shop[shop]
     rule = instance.rules[shop]
-    k = len(books)
+    # Lightest first, so the low bit of a local mask is its cheapest book.
+    offers = sorted((instance.price[(b, shop)], b) for b in instance.books_by_shop[shop])
+    k = len(offers)
     spends = [0] * (1 << k)
+    premiums = [0] * (1 << k)
     gmasks = [0] * (1 << k)
+    sets = [(0, rule.discount)] if rule.threshold == 0 and rule.discount > 0 else []
     for ls in range(1, 1 << k):
         low = ls & -ls
-        idx = low.bit_length() - 1
-        spends[ls] = spends[ls ^ low] + instance.price[(books[idx], shop)]
-        gmasks[ls] = gmasks[ls ^ low] | (1 << books[idx])
-    return [spend - discount_earned(rule, spend) for spend in spends], gmasks
+        price, book = offers[low.bit_length() - 1]
+        rest = ls ^ low
+        spends[ls] = spends[rest] + price
+        premiums[ls] = premiums[rest] + price - instance.cheapest[book][1]
+        gmasks[ls] = gmasks[rest] | (1 << book)
+        saving = rule.discount - premiums[ls]
+        if saving > 0 and rule.threshold <= spends[ls] < rule.threshold + price:
+            sets.append((gmasks[ls], saving))
+    return sets
 
 
 def subset_dp_min_cost(instance: Instance, *, max_books: int = DEFAULT_MAX_BOOKS) -> SolveResult:
-    """Minimum cost via dynamic programming over subsets of books.
+    """Minimum cost via dynamic programming over sets of claimed books.
 
-    dp_j[B] = min over B'' subset of B of (net price of buying B'' at shop
-    j) + dp_{j-1}[B without B''], where the net price includes shop j's
-    discount when the spend reaches its threshold.  Buying nothing at a
-    threshold-0 shop still earns its discount.
+    Start from every book at its cheapest shop.  A shop that earns its
+    discount claims a set of books and saves its discount less what those
+    books cost there above their cheapest price; the sets of different
+    shops are disjoint.  ``best[B]`` is the largest total saving of the
+    shops so far whose claimed books are exactly ``B``.  Returns one
+    cheapest plan; which one, among equally cheap plans, is not fixed.
     """
     n = instance.num_books
     if n > max_books:
         raise TooManyBooks(n, max_books)
-    m = instance.num_shops
-    full = (1 << n) - 1
 
-    layers: list[list[float]] = []
-    dp: list[float] = [INF] * (full + 1)
-    dp[0] = 0
-    layers.append(dp)
-    tables: list[tuple[list[int], list[int]]] = []
+    best = {0: 0}
+    came_from: list[dict[int, int]] = []  # per shop: state it improved -> state before
+    for s in range(instance.num_shops):
+        sets = _earning_sets(instance, s)
+        after = dict(best)
+        back: dict[int, int] = {}
+        for state, saving in best.items():
+            for g, gain in sets:
+                if state & g:
+                    continue
+                new = state | g
+                if saving + gain > after.get(new, 0):
+                    after[new] = saving + gain
+                    back[new] = state
+        best = after
+        came_from.append(back)
 
-    for s in range(m):
-        net, gmasks = _shop_subset_tables(instance, s)
-        tables.append((net, gmasks))
-        prev = layers[-1]
-        base = net[0]
-        cur = [v + base for v in prev]
-        for ls in range(1, len(net)):
-            value = net[ls]
-            g = gmasks[ls]
-            comp = full ^ g
-            t = comp
-            while True:
-                cand = value + prev[t]
-                i = g | t
-                if cand < cur[i]:
-                    cur[i] = cand
-                if t == 0:
-                    break
-                t = (t - 1) & comp
-        layers.append(cur)
-
-    assert layers[m][full] != INF
-    # Reconstruct: walk shops backwards, re-finding the subset bought at
-    # each one (first match in ascending local-mask order).
-    choice = [-1] * n
-    mask = full
-    for s in range(m - 1, -1, -1):
-        net, gmasks = tables[s]
-        target = layers[s + 1][mask]
-        prev = layers[s]
-        picked = None
-        for ls in range(len(net)):
-            g = gmasks[ls]
-            if g & ~mask:
-                continue
-            if net[ls] + prev[mask ^ g] == target:
-                picked = ls
-                break
-        assert picked is not None
-        books = instance.books_by_shop[s]
-        for idx in range(len(books)):
-            if picked >> idx & 1:
-                choice[books[idx]] = s
-        mask ^= gmasks[picked]
-    assert mask == 0
+    state = max(best, key=best.__getitem__)
+    saving = best[state]
+    choice = cheapest_plan(instance)
+    for s in range(instance.num_shops - 1, -1, -1):
+        prev = came_from[s].get(state)
+        if prev is None:
+            continue
+        claimed = state ^ prev
+        for b in range(n):
+            if claimed >> b & 1:
+                choice[b] = s
+        state = prev
+    assert state == 0
 
     result = evaluate_assignment(instance, Assignment(tuple(choice)))
-    assert result.total_cost == layers[m][full]
+    assert result.total_cost == sum(price for _, price in instance.cheapest) - saving
     return result
 
 

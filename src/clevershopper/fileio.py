@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BookUncovered, DanglingIndex, DeclaredCostMismatch, ParseError
+from .errors import BookUnassigned, DanglingIndex, DeclaredCostMismatch, ParseError
 from .model import Assignment, Instance, SolveResult, evaluate_assignment, make_instance
 from .sources import CnfFormula, SimpleGraph
 
@@ -196,7 +196,7 @@ def check_solution(
     choice = []
     for book in range(instance.num_books):
         if book not in assigns:
-            raise BookUncovered(book)
+            raise BookUnassigned(book)
         choice.append(assigns[book])
     result = evaluate_assignment(instance, Assignment(tuple(choice)))
     if strict and declared != result.total_cost:

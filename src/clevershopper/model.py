@@ -20,6 +20,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import (
+    BookUnassigned,
     BookUncovered,
     DanglingIndex,
     DuplicateOffer,
@@ -209,7 +210,7 @@ def evaluate_assignment(instance: Instance, assignment: Assignment) -> SolveResu
     """
     choice = assignment.choice
     if len(choice) < instance.num_books:
-        raise BookUncovered(len(choice))
+        raise BookUnassigned(len(choice))
     if len(choice) > instance.num_books:
         raise DanglingIndex("book", instance.num_books, instance.num_books)
     spends = {s: 0 for s in range(instance.num_shops)}

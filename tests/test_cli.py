@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clevershopper import (
     make_instance,
@@ -13,6 +19,7 @@ from clevershopper import (
     random_instance,
     serialize_instance,
 )
+from clevershopper.bench import ALGORITHM_NAMES
 from clevershopper.cli import main
 
 
@@ -194,6 +201,57 @@ class TestSolve:
         assert "shop s1 sells 3 books" in err
 
 
+FIVE_BOOKS_TEXT = (Path(__file__).parent / "data" / "five_books.cshop").read_text()
+FIVE_BOOKS_SOLUTION = "ASSIGN 1 1\nASSIGN 2 3\nASSIGN 3 4\nASSIGN 4 4\nASSIGN 5 5\nCOST 34\n"
+ODD_TOKENS = ["0", "-1", "1", "2", "34", str(10**30), "x", "OFFER", "ASSIGN", "COST"]
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """The lines of ``text`` with lines or tokens dropped, doubled or replaced."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop line", "double line", "drop", "double", "replace"]))
+        if op == "drop line":
+            del lines[i]
+        elif op == "double line":
+            lines.insert(i, list(lines[i]))
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            if op == "drop":
+                del lines[i][j]
+            elif op == "double":
+                lines[i].insert(j, lines[i][j])
+            else:
+                lines[i][j] = draw(st.sampled_from(ODD_TOKENS))
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    instance=mutated(FIVE_BOOKS_TEXT),
+    solution=mutated(FIVE_BOOKS_SOLUTION),
+    budget=st.sampled_from(ODD_TOKENS[:6]),
+)
+def test_mutated_files_end_in_a_documented_exit_code(instance, solution, budget):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_file, sol_file = Path(tmp) / "shop.cshop", Path(tmp) / "shop.sol"
+        inst_file.write_text(instance)
+        sol_file.write_text(solution)
+        runs = [["check", "--input", str(inst_file), "--solution", str(sol_file)]]
+        for algo in ALGORITHM_NAMES:
+            solve = ["solve", "--input", str(inst_file), "--algo", algo]
+            runs += [solve, solve + ["--budget", budget]]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+
+
 class TestGenerate:
     def test_partition(self, capsys, tmp_path):
         out_file = tmp_path / "p.cshop"
@@ -360,6 +418,36 @@ class TestCheck:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_unassigned_book_blamed_on_solution(self, capsys, tmp_path, five_books_path):
+        sol = tmp_path / "short.sol"
+        sol.write_text("ASSIGN 1 1\nCOST 12\n")
+        code, _, err = run_cli(
+            capsys, "check", "--input", str(five_books_path),
+            "--solution", str(sol),
+        )
+        assert code == 2
+        assert "the solution assigns book b2 to no shop" in err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("COST 34", "ASSIGN 6 1\nCOST 34", "book b6 out of range (have 5)"),
+            ("ASSIGN 5 5", "ASSIGN 5 9", "shop s9 out of range (have 5)"),
+        ],
+        ids=["book", "shop"],
+    )
+    def test_dangling_index_named_as_in_file(
+        self, capsys, tmp_path, five_books_path, old, new, message
+    ):
+        sol = self.make_pair(capsys, tmp_path, five_books_path)
+        sol.write_text(sol.read_text().replace(old, new))
+        code, _, err = run_cli(
+            capsys, "check", "--input", str(five_books_path),
+            "--solution", str(sol),
+        )
+        assert code == 2
+        assert message in err
 
     def test_missing_offer_named_as_in_file(self, capsys, tmp_path, five_books_path):
         sol = self.make_pair(capsys, tmp_path, five_books_path)

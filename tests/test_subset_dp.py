@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clevershopper import (
+    DiscountModel,
     TooManyBooks,
     brute_force_min_cost,
     evaluate_assignment,
@@ -12,6 +15,7 @@ from clevershopper import (
     random_instance,
     subset_dp_min_cost,
 )
+from clevershopper.exact import _earning_sets
 
 
 class TestSubsetDp:
@@ -60,3 +64,40 @@ class TestSubsetDp:
                 subset_dp_min_cost(inst).total_cost
                 == brute_force_min_cost(inst).total_cost
             )
+
+    def test_earning_sets_are_threshold_minimal(self):
+        # b1 alone reaches the threshold; b1 with b2 does too, but still
+        # reaches it without b2, so only {b1} is kept.
+        inst = make_instance(2, [(3, 5), (2, 0)], [(0, 0, 5), (1, 0, 1), (1, 1, 1)])
+        assert _earning_sets(inst, 0) == [(0b01, 3)]
+        assert _earning_sets(inst, 1) == [(0, 2)]
+
+    # Unit and fixed prices leave no premium, so many threshold-minimal
+    # sets tie; threshold-0 shops are drawn throughout, and discount-0
+    # shops in every set (all of them under "no-discounts").
+    @pytest.mark.parametrize("max_discount", [0, 4], ids=["no-discounts", "discounts"])
+    @pytest.mark.parametrize(
+        "prices",
+        [dict(unit_prices=True), dict(fixed_prices=True, max_price=4), dict(max_price=3)],
+        ids=["unit", "fixed", "low"],
+    )
+    def test_matches_oracle_on_tied_prices(self, prices, max_discount):
+        model = DiscountModel(max_discount=max_discount, min_threshold=0, max_threshold=4)
+        for seed in range(150):
+            inst = random_instance(
+                1 + seed % 7, 1 + seed % 5, discount_model=model, seed=seed, **prices
+            )
+            got = subset_dp_min_cost(inst)
+            assert got.total_cost == brute_force_min_cost(inst).total_cost
+            assert evaluate_assignment(inst, got.assignment) == got
+
+    def test_documented_cap_is_fast(self):
+        inst = random_instance(
+            20, 10, max_price=10,
+            discount_model=DiscountModel(max_discount=5, min_threshold=0),
+            seed=8,
+        )
+        start = time.perf_counter()
+        result = subset_dp_min_cost(inst)
+        assert time.perf_counter() - start < 5.0
+        assert result.total_cost == 45
