@@ -7,11 +7,12 @@ failed check, 2 bad input, 3 solver size cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from .bench import ALGORITHM_NAMES, run_algorithm, run_bench, write_report
-from .errors import EmptyInput, InfeasibleParameters, InputError, ResourceLimitError
+from .errors import EmptyInput, InputError, ResourceLimitError
 from .exact import price_vector_dp
 from .fileio import (
     check_solution,
@@ -39,10 +40,15 @@ EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
-GENERATOR_FAMILIES = ("partition", "binpacking", "perfectcode", "x3c", "max3sat", "random")
 
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and shared.
+
+    ``main`` can run many times in one process (tests, benchmark workers),
+    and building this parser costs about as much as a small solve.
+    Callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="clevershopper",
         description="Solvers for shopping with per-shop threshold discounts.",
@@ -61,28 +67,48 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=_cmd_solve)
 
     generate = sub.add_parser("generate", help="generate an instance file")
-    generate.add_argument("family", choices=GENERATOR_FAMILIES)
-    generate.add_argument("--weights", help="comma-separated item weights")
-    generate.add_argument("--bins", type=int, help="bin count (binpacking)")
-    generate.add_argument("--capacity", type=int, help="bin capacity (binpacking)")
-    generate.add_argument("--graph", help="graph file (perfectcode)")
-    generate.add_argument("--k", type=int, help="code size (perfectcode)")
-    generate.add_argument("--cnf", help="DIMACS file (max3sat)")
-    generate.add_argument("--t-const", type=int, default=42, help="price scale (x3c)")
-    generate.add_argument("--n", type=int, help="item/book count (x3c, random)")
-    generate.add_argument("--m", type=int, help="component/shop count (x3c, random)")
-    generate.add_argument("--max-price", type=int, default=10, help="price ceiling (random)")
-    generate.add_argument("--degree-cap", type=int, help="max books per shop (random)")
-    generate.add_argument("--unit-prices", action="store_true", help="all prices 1 (random)")
-    generate.add_argument("--fixed-prices", action="store_true",
-                          help="same price everywhere per book (random)")
-    generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--output", help="write the instance here (default stdout)")
-    generate.add_argument(
-        "--seedless", action="store_true",
-        help="omit provenance comments from the output file",
-    )
-    generate.set_defaults(func=_cmd_generate)
+    families = generate.add_subparsers(dest="family", required=True)
+
+    def family(name: str, build, about: str) -> argparse.ArgumentParser:
+        parser = families.add_parser(name, help=about)
+        parser.add_argument("--output", help="write the instance here (default stdout)")
+        parser.add_argument(
+            "--seedless", action="store_true",
+            help="omit provenance comments from the output file",
+        )
+        parser.set_defaults(func=_cmd_generate, build=build)
+        return parser
+
+    partition = family("partition", _partition, "two shops from a Partition instance")
+    partition.add_argument("--weights", required=True, help="comma-separated item weights")
+
+    binpacking = family("binpacking", _binpacking, "one shop per bin from Bin Packing")
+    binpacking.add_argument("--weights", required=True, help="comma-separated item weights")
+    binpacking.add_argument("--bins", type=int, required=True, help="bin count")
+    binpacking.add_argument("--capacity", type=int, required=True, help="bin capacity")
+
+    perfectcode = family("perfectcode", _perfectcode, "one shop per vertex from a graph")
+    perfectcode.add_argument("--graph", required=True, help="graph file")
+    perfectcode.add_argument("--k", type=int, required=True, help="code size")
+
+    x3c = family("x3c", _x3c, "or-composition of random exact-cover components")
+    x3c.add_argument("--n", type=int, required=True, help="item count per component")
+    x3c.add_argument("--m", type=int, required=True, help="component count")
+    x3c.add_argument("--t-const", type=int, default=42, help="price scale")
+    x3c.add_argument("--seed", type=int, default=0, help="seed of the first component")
+
+    max3sat = family("max3sat", _max3sat, "clause gadget from a DIMACS file")
+    max3sat.add_argument("--cnf", required=True, help="DIMACS file")
+
+    rand = family("random", _random, "seeded random instance")
+    rand.add_argument("--n", type=int, required=True, help="book count")
+    rand.add_argument("--m", type=int, required=True, help="shop count")
+    rand.add_argument("--max-price", type=int, default=10, help="price ceiling")
+    rand.add_argument("--degree-cap", type=int, help="max books per shop")
+    rand.add_argument("--unit-prices", action="store_true", help="all prices 1")
+    rand.add_argument("--fixed-prices", action="store_true",
+                      help="same price everywhere per book")
+    rand.add_argument("--seed", type=int, default=0)
 
     check = sub.add_parser("check", help="verify a solution file")
     check.add_argument("--input", required=True, help="instance file")
@@ -150,59 +176,49 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require(args: argparse.Namespace, name: str) -> object:
-    value = getattr(args, name.replace("-", "_"))
-    if value is None:
-        raise InfeasibleParameters(f"generator {args.family!r} needs --{name}")
-    return value
+def _partition(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
+    weights = parse_weights(args.weights)
+    return from_partition(weights), [f"weights: {','.join(map(str, weights))}"]
 
 
-def _generate(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
-    family = args.family
-    if family == "partition":
-        weights = parse_weights(str(_require(args, "weights")))
-        return from_partition(weights), [f"weights: {','.join(map(str, weights))}"]
-    if family == "binpacking":
-        weights = parse_weights(str(_require(args, "weights")))
-        bins = int(_require(args, "bins"))
-        capacity = int(_require(args, "capacity"))
-        gen = from_bin_packing(weights, bins, capacity)
-        return gen, [f"weights: {','.join(map(str, weights))}",
-                     f"bins: {bins}", f"capacity: {capacity}"]
-    if family == "perfectcode":
-        graph = parse_graph(_read(str(_require(args, "graph"))))
-        k = int(_require(args, "k"))
-        return from_perfect_code(graph, k), [f"graph: {args.graph}", f"k: {k}"]
-    if family == "x3c":
-        items = int(_require(args, "n"))
-        comps = int(_require(args, "m"))
-        if comps < 1:
-            raise InfeasibleParameters(f"need at least one component, got {comps}")
-        components = tuple(random_x3c(items, args.seed + i) for i in range(comps))
-        gen = x3c_or_composition(components, args.t_const)
-        return gen, [f"items: {items}", f"components: {comps}", f"seed: {args.seed}"]
-    if family == "max3sat":
-        cnf = parse_dimacs(_read(str(_require(args, "cnf"))))
-        return from_max3sat(cnf), [f"cnf: {args.cnf}"]
-    if family == "random":
-        instance = random_instance(
-            int(_require(args, "n")),
-            int(_require(args, "m")),
-            max_price=args.max_price,
-            shop_degree_cap=args.degree_cap,
-            unit_prices=args.unit_prices,
-            fixed_prices=args.fixed_prices,
-            seed=args.seed,
-        )
-        return (
-            GeneratedInstance(instance, None, None),
-            [f"seed: {args.seed}"],
-        )
-    raise InfeasibleParameters(f"unknown generator family {family!r}")
+def _binpacking(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
+    weights = parse_weights(args.weights)
+    gen = from_bin_packing(weights, args.bins, args.capacity)
+    return gen, [f"weights: {','.join(map(str, weights))}",
+                 f"bins: {args.bins}", f"capacity: {args.capacity}"]
+
+
+def _perfectcode(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
+    graph = parse_graph(_read(args.graph))
+    return from_perfect_code(graph, args.k), [f"graph: {args.graph}", f"k: {args.k}"]
+
+
+def _x3c(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
+    components = tuple(random_x3c(args.n, args.seed + i) for i in range(args.m))
+    gen = x3c_or_composition(components, args.t_const)
+    return gen, [f"items: {args.n}", f"components: {args.m}", f"seed: {args.seed}"]
+
+
+def _max3sat(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
+    cnf = parse_dimacs(_read(args.cnf))
+    return from_max3sat(cnf), [f"cnf: {args.cnf}"]
+
+
+def _random(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
+    instance = random_instance(
+        args.n,
+        args.m,
+        max_price=args.max_price,
+        shop_degree_cap=args.degree_cap,
+        unit_prices=args.unit_prices,
+        fixed_prices=args.fixed_prices,
+        seed=args.seed,
+    )
+    return GeneratedInstance(instance, None, None), [f"seed: {args.seed}"]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    gen, notes = _generate(args)
+    gen, notes = args.build(args)
     text = serialize_instance(gen.instance)
     if not args.seedless:
         header = [f"# family: {args.family}"]
@@ -265,8 +281,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

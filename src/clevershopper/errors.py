@@ -181,10 +181,3 @@ class ParseError(InputError):
         self.reason = reason
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{reason}")
-
-
-class DeclaredCostMismatch(InputError):
-    def __init__(self, declared: int, actual: int):
-        self.declared = declared
-        self.actual = actual
-        super().__init__(f"declared cost {declared} but assignment evaluates to {actual}")

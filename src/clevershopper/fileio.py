@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BookUnassigned, DanglingIndex, DeclaredCostMismatch, ParseError
+from .errors import BookUnassigned, DanglingIndex, ParseError
 from .model import Assignment, Instance, SolveResult, evaluate_assignment, make_instance
 from .sources import CnfFormula, SimpleGraph
 
@@ -177,17 +177,10 @@ class CheckReport:
     within_budget: bool | None
 
 
-def check_solution(
-    instance: Instance,
-    text: str,
-    budget: int | None = None,
-    *,
-    strict: bool = False,
-) -> CheckReport:
+def check_solution(instance: Instance, text: str, budget: int | None = None) -> CheckReport:
     """Re-price a solution file and compare with its declared cost.
 
-    The budget defaults to the instance's own.  With ``strict`` a
-    declared-cost mismatch raises instead of being reported.
+    The budget defaults to the instance's own.
     """
     assigns, declared = parse_solution(text)
     for book in assigns:
@@ -199,8 +192,6 @@ def check_solution(
             raise BookUnassigned(book)
         choice.append(assigns[book])
     result = evaluate_assignment(instance, Assignment(tuple(choice)))
-    if strict and declared != result.total_cost:
-        raise DeclaredCostMismatch(declared, result.total_cost)
     if budget is None:
         budget = instance.budget
     return CheckReport(

@@ -56,15 +56,13 @@ class Instance:
 
     ``rules[s]`` is the discount rule of shop ``s``; ``offers`` lists the
     available (book, shop, price) triples.  ``budget`` is the optional
-    decision target.  Display names are cosmetic and never serialised.
+    decision target.
     """
 
     num_books: int
     rules: tuple[DiscountRule, ...]
     offers: tuple[Offer, ...]
     budget: int | None = None
-    book_names: tuple[str, ...] | None = None
-    shop_names: tuple[str, ...] | None = None
 
     @property
     def num_shops(self) -> int:
@@ -97,13 +95,9 @@ class Instance:
         return tuple(tuple(sorted(books)) for books in per_shop)
 
     def book_name(self, book: int) -> str:
-        if self.book_names is not None:
-            return self.book_names[book]
         return f"b{book + 1}"
 
     def shop_name(self, shop: int) -> str:
-        if self.shop_names is not None:
-            return self.shop_names[shop]
         return f"s{shop + 1}"
 
 
@@ -159,10 +153,6 @@ def validate_instance(instance: Instance) -> Instance:
     if len(covered) < instance.num_books:
         # The first gap is among the first len(covered) + 1 books.
         raise BookUncovered(next(b for b in range(instance.num_books) if b not in covered))
-    if instance.book_names is not None and len(instance.book_names) != instance.num_books:
-        raise DanglingIndex("book name", len(instance.book_names), instance.num_books)
-    if instance.shop_names is not None and len(instance.shop_names) != instance.num_shops:
-        raise DanglingIndex("shop name", len(instance.shop_names), instance.num_shops)
     return instance
 
 

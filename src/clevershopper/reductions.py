@@ -72,10 +72,13 @@ def from_partition(weights: tuple[int, ...]) -> GeneratedInstance:
 
     Both shops give a discount of 1 once the spend reaches half the total
     weight (rounded up), so cost total-2 is achievable exactly when the
-    weights split into two equal halves.
+    weights split into two equal halves.  The total must be at least 2,
+    so that the budget is not negative.
     """
     _check_weights(weights)
     total = sum(weights)
+    if total < 2:
+        raise InfeasibleParameters(f"weights must sum to at least 2, got {total}")
     half = (total + 1) // 2
     rules = [(1, half), (1, half)]
     offers = [(b, s, w) for b, w in enumerate(weights) for s in (0, 1)]
@@ -89,16 +92,17 @@ def from_partition(weights: tuple[int, ...]) -> GeneratedInstance:
 def from_bin_packing(weights: tuple[int, ...], bins: int, capacity: int) -> GeneratedInstance:
     """One shop per bin, each selling every item at its weight.
 
-    Requires the weights to sum to bins * capacity, so that packing means
-    filling every bin exactly.  Every shop discounts 1 at threshold
-    ``capacity``; cost total - bins is achievable exactly when every shop
-    earns, i.e. when the items pack.
+    Requires a positive capacity and the weights to sum to bins * capacity,
+    so that packing means filling every bin exactly and the budget is not
+    negative.  Every shop discounts 1 at threshold ``capacity``; cost
+    total - bins is achievable exactly when every shop earns, i.e. when
+    the items pack.
     """
     _check_weights(weights)
     if bins < 1:
         raise InfeasibleParameters(f"need at least one bin, got {bins}")
-    if capacity < 0:
-        raise NegativeValue("bin capacity", capacity)
+    if capacity < 1:
+        raise InfeasibleParameters(f"bin capacity must be positive, got {capacity}")
     total = sum(weights)
     if total != bins * capacity:
         raise WeightSumMismatch(total, bins * capacity)

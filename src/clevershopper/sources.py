@@ -6,9 +6,9 @@ for the instance sizes used in generators and tests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .errors import DanglingIndex, InfeasibleParameters, NegativeValue
 
@@ -148,45 +148,35 @@ def packing_number(graph: SimpleGraph) -> int:
     return k
 
 
+def _exactly_covers(num_items: int, sets: Iterable[frozenset[int]]) -> bool:
+    """Does some subfamily of the sets partition items 0..num_items-1?
+
+    Every partition holds one set containing the lowest item not yet
+    covered, so the search branches on those sets only.
+    """
+    containing: list[list[frozenset[int]]] = [[] for _ in range(num_items)]
+    for fs in sets:
+        for item in fs:
+            containing[item].append(fs)
+    stack = [frozenset(range(num_items))]
+    while stack:
+        remaining = stack.pop()
+        if not remaining:
+            return True
+        stack.extend(remaining - fs for fs in containing[min(remaining)] if fs <= remaining)
+    return False
+
+
 def has_perfect_code(graph: SimpleGraph) -> bool:
     """Is there a set covering every vertex by exactly one closed neighborhood?"""
-    nbhd = graph.closed_neighborhoods
-    n = graph.num_vertices
-    for size in range(n + 1):
-        for code in itertools.combinations(range(n), size):
-            covered: set[int] = set()
-            ok = True
-            for v in code:
-                if nbhd[v] & covered:
-                    ok = False
-                    break
-                covered |= nbhd[v]
-            if ok and len(covered) == n:
-                return True
-    return False
+    return _exactly_covers(graph.num_vertices, graph.closed_neighborhoods)
 
 
 def x3c_solvable(instance: X3CInstance) -> bool:
     """Does some subfamily of the 3-sets partition the items?"""
     if instance.num_items % 3:
         return False
-    containing: list[list[frozenset[int]]] = [[] for _ in range(instance.num_items)]
-    for triple in instance.sets:
-        fs = frozenset(triple)
-        for item in triple:
-            containing[item].append(fs)
-
-    def cover(remaining: frozenset[int]) -> bool:
-        if not remaining:
-            return True
-        item = min(remaining)
-        for fs in containing[item]:
-            if fs <= remaining:
-                if cover(remaining - fs):
-                    return True
-        return False
-
-    return cover(frozenset(range(instance.num_items)))
+    return _exactly_covers(instance.num_items, map(frozenset, instance.sets))
 
 
 def max_satisfied_clauses(cnf: CnfFormula) -> int:

@@ -115,34 +115,40 @@ def inventories_exactly_cover(instance: Instance) -> bool:
     Ground truth for the or-composed instances: the budget is met exactly
     when such a partition exists.
     """
-    inventories = [frozenset(instance.books_by_shop[s]) for s in range(instance.num_shops)]
-
-    def cover(remaining: frozenset[int]) -> bool:
-        if not remaining:
-            return True
-        lowest = min(remaining)
-        for inv in inventories:
-            if lowest in inv and inv <= remaining and cover(remaining - inv):
-                return True
-        return False
-
-    return cover(frozenset(range(instance.num_books)))
+    return sets_exactly_cover(instance.num_books, instance.books_by_shop)
 
 
 def sets_exactly_cover(num_items: int, sets) -> bool:
-    """Does some subfamily of the given triples partition the items?"""
-    triples = [frozenset(s) for s in sets]
+    """Does some subfamily of the given sets partition the items?"""
+    family = [frozenset(s) for s in sets]
 
     def cover(remaining: frozenset[int]) -> bool:
         if not remaining:
             return True
         lowest = min(remaining)
-        for t in triples:
+        for t in family:
             if lowest in t and t <= remaining and cover(remaining - t):
                 return True
         return False
 
     return cover(frozenset(range(num_items)))
+
+
+def perfect_code_exists(num_vertices: int, edges) -> bool:
+    """Is some vertex set's closed neighborhoods a partition of the vertices?
+
+    Tries every vertex subset with itertools.combinations.
+    """
+    closed = [{v} for v in range(num_vertices)]
+    for u, v in edges:
+        closed[u].add(v)
+        closed[v].add(u)
+    for size in range(num_vertices + 1):
+        for code in itertools.combinations(range(num_vertices), size):
+            covered = [v for c in code for v in closed[c]]
+            if sorted(covered) == list(range(num_vertices)):
+                return True
+    return False
 
 
 def gadget_best_discount(cnf: CnfFormula) -> int:

@@ -207,7 +207,7 @@ ODD_TOKENS = ["0", "-1", "1", "2", "34", str(10**30), "x", "OFFER", "ASSIGN", "C
 
 
 @st.composite
-def mutated(draw, text: str) -> str:
+def mutated(draw, text: str, tokens: list[str] = ODD_TOKENS) -> str:
     """The lines of ``text`` with lines or tokens dropped, doubled or replaced."""
     lines = [line.split() for line in text.splitlines()]
     for _ in range(draw(st.integers(0, 3))):
@@ -226,7 +226,7 @@ def mutated(draw, text: str) -> str:
             elif op == "double":
                 lines[i].insert(j, lines[i][j])
             else:
-                lines[i][j] = draw(st.sampled_from(ODD_TOKENS))
+                lines[i][j] = draw(st.sampled_from(tokens))
     return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
 
 
@@ -351,9 +351,43 @@ class TestGenerate:
         assert all(o.price == 1 for o in inst.offers)
 
     def test_missing_required_flag(self, capsys):
-        code, _, err = run_cli(capsys, "generate", "partition")
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "partition"])
+        assert exc.value.code == 2
+        assert "--weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "partition --weights 1,1 --bins 3",
+            "binpacking --weights 2,2 --bins 1 --capacity 4 --seed 1",
+            "perfectcode --graph g.graph --k 1 --weights 1",
+            "x3c --n 6 --m 1 --cnf f.cnf",
+            "max3sat --cnf f.cnf --n 3",
+            "random --n 3 --m 2 --k 1",
+        ],
+        ids=lambda argv: argv.split()[0],
+    )
+    def test_flag_of_another_family_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", *argv.split()])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("partition --weights 0", "weights must sum to at least 2, got 0"),
+            ("partition --weights 1", "weights must sum to at least 2, got 1"),
+            ("binpacking --weights 0,0 --bins 2 --capacity 0",
+             "bin capacity must be positive, got 0"),
+        ],
+        ids=["partition-0", "partition-1", "binpacking-capacity-0"],
+    )
+    def test_error_names_the_cause(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, "generate", *argv.split())
         assert code == 2
-        assert "--weights" in err
+        assert message in err
 
     def test_bad_weights(self, capsys):
         code, _, err = run_cli(
@@ -361,6 +395,76 @@ class TestGenerate:
         )
         assert code == 2
         assert "error:" in err
+
+
+GENERATE_FLAGS = {
+    "partition": ["--weights"],
+    "binpacking": ["--weights", "--bins", "--capacity"],
+    "perfectcode": ["--graph", "--k"],
+    "x3c": ["--n", "--m", "--t-const", "--seed"],
+    "max3sat": ["--cnf"],
+    "random": ["--n", "--m", "--max-price", "--degree-cap", "--unit-prices",
+               "--fixed-prices", "--seed"],
+}
+ALL_GENERATE_FLAGS = sorted(
+    {flag for flags in GENERATE_FLAGS.values() for flag in flags} | {"--output", "--seedless"}
+)
+SMALL_TOKENS = ["-1", "0", "1", "2", "3", "12", "x"]
+SWITCHES = {"--seedless", "--unit-prices", "--fixed-prices"}
+GRAPH_TEXT = "5\n1 2\n1 3\n2 3\n2 4\n3 4\n4 5\n"
+CNF_TEXT = "p cnf 3 4\n1 2 3 0\n1 2 3 0\n-1 -2 -3 0\n-1 -2 -3 0\n"
+
+
+@st.composite
+def generate_call(draw) -> tuple[list[str], str, str]:
+    """A `generate` argv with the graph and DIMACS files it reads; file
+    paths start with ``{tmp}``.
+
+    Each of the family's own flags is present three times in four, so
+    that most calls get past argparse, and half of the calls add one flag
+    drawn from all families.  Counts stay at 12 or less, so no call asks
+    for a large instance.
+    """
+    family = draw(st.sampled_from(sorted(GENERATE_FLAGS)))
+    flags = {
+        flag for flag in GENERATE_FLAGS[family] + ["--output", "--seedless"]
+        if draw(st.integers(0, 3))
+    }
+    extra = draw(st.none() | st.sampled_from(ALL_GENERATE_FLAGS))
+    argv = ["generate", family]
+    for flag in sorted(flags | {extra} - {None}):
+        argv.append(flag)
+        if flag == "--weights":
+            argv.append(draw(mutated("2 2 2 2 3 3 3 3 4", SMALL_TOKENS)).strip())
+        elif flag == "--graph":
+            argv.append("{tmp}/g.graph")
+        elif flag == "--cnf":
+            argv.append("{tmp}/f.cnf")
+        elif flag == "--output":
+            argv.append("{tmp}/out.cshop")
+        elif flag not in SWITCHES:
+            argv.append(str(draw(st.integers(-1, 12))))
+    graph = draw(mutated(GRAPH_TEXT, SMALL_TOKENS))
+    cnf = draw(mutated(CNF_TEXT, SMALL_TOKENS))
+    return argv, graph, cnf
+
+
+@settings(max_examples=200, deadline=None)
+@given(call=generate_call())
+def test_generate_ends_in_a_documented_exit_code(call):
+    argv, graph, cnf = call
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "g.graph").write_text(graph)
+        (Path(tmp) / "f.cnf").write_text(cnf)
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        except SystemExit as exc:  # argparse rejected the flags
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 1, 2, 3), argv
 
 
 class TestCheck:

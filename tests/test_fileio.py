@@ -7,7 +7,6 @@ from clevershopper import (
     CheckReport,
     CnfFormula,
     DanglingIndex,
-    DeclaredCostMismatch,
     ParseError,
     SimpleGraph,
     brute_force_min_cost,
@@ -143,20 +142,6 @@ class TestSerializeInstance:
         assert serialize_instance(b) == a
         assert serialize_instance(five_books) == a
 
-    def test_names_never_serialized(self):
-        from clevershopper import make_instance
-
-        inst = make_instance(1, [(0, 0)], [(0, 0, 1)])
-        named = type(inst)(
-            num_books=1,
-            rules=inst.rules,
-            offers=inst.offers,
-            book_names=("Dune",),
-            shop_names=("Alpha",),
-        )
-        text = serialize_instance(named)
-        assert "Dune" not in text and "Alpha" not in text
-
 
 class TestSolutionFiles:
     def test_round_trip(self, five_books):
@@ -208,13 +193,6 @@ class TestCheckSolution:
         report = check_solution(five_books, text)
         assert report.cost_matches is False
         assert report.declared_cost == 33
-
-    def test_strict_mismatch_raises(self, five_books):
-        text = self.solution_text(five_books).replace("COST 34", "COST 33")
-        with pytest.raises(DeclaredCostMismatch) as exc:
-            check_solution(five_books, text, strict=True)
-        assert exc.value.declared == 33
-        assert exc.value.actual == 34
 
     def test_missing_book(self, five_books):
         text = "ASSIGN 1 1\nCOST 12\n"

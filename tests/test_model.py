@@ -10,9 +10,7 @@ from clevershopper import (
     DanglingIndex,
     DiscountRule,
     DuplicateOffer,
-    Instance,
     NegativeValue,
-    Offer,
     OfferMissing,
     cheapest_shop,
     discount_earned,
@@ -128,17 +126,6 @@ class TestAccessors:
     def test_default_names(self, five_books):
         assert five_books.book_name(0) == "b1"
         assert five_books.shop_name(4) == "s5"
-
-    def test_explicit_names(self):
-        inst = Instance(
-            1,
-            (DiscountRule(0, 1),),
-            (Offer(0, 0, 3),),
-            book_names=("dune",),
-            shop_names=("corner",),
-        )
-        assert inst.book_name(0) == "dune"
-        assert inst.shop_name(0) == "corner"
 
 
 class TestEvaluate:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,8 @@ from clevershopper import (
     packing_number,
     x3c_solvable,
 )
+
+import bruteforce
 
 
 class TestSimpleGraph:
@@ -107,6 +112,18 @@ class TestNeighborhoodPacking:
         square = SimpleGraph(4, ((0, 1), (0, 3), (1, 2), (2, 3)))
         assert not has_perfect_code(square)
         assert packing_number(square) == 1
+
+    def test_perfect_code_matches_exhaustive(self):
+        rng = random.Random(5)
+        yes = 0
+        for _ in range(200):
+            n = rng.randint(0, 9)
+            density = rng.choice((0.15, 0.3, 0.5))
+            edges = tuple(e for e in combinations(range(n), 2) if rng.random() < density)
+            want = bruteforce.perfect_code_exists(n, edges)
+            assert has_perfect_code(SimpleGraph(n, edges)) is want, (n, edges)
+            yes += want
+        assert 20 < yes < 180  # both answers occur often
 
 
 class TestX3C:
