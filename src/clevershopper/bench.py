@@ -8,6 +8,7 @@ down.  Results are plain dicts ready for JSON.
 from __future__ import annotations
 
 import json
+import math
 import time
 from multiprocessing import Pipe, Process
 from pathlib import Path
@@ -78,6 +79,8 @@ def run_bench(
     When the oracle finishes on an instance, every other ok record for it
     gets a ``gap`` field (its cost minus the oracle cost).
     """
+    if not 0 < timeout < math.inf:
+        raise InfeasibleParameters(f"timeout must be a positive number of seconds, got {timeout}")
     for algo in algos:
         if algo not in _DISPATCH:
             raise InfeasibleParameters(f"unknown algorithm {algo!r}")

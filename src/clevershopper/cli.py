@@ -26,6 +26,7 @@ from .fileio import (
 from .model import Instance, SolveResult, discount_earned
 from .reductions import (
     GeneratedInstance,
+    check_offer_count,
     from_bin_packing,
     from_max3sat,
     from_partition,
@@ -194,6 +195,9 @@ def _perfectcode(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]
 
 
 def _x3c(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
+    # Each component has n sets, and each set shop sells at least its
+    # three item books.
+    check_offer_count(3 * args.n * args.m, f"{args.n} items in {args.m} components")
     components = tuple(random_x3c(args.n, args.seed + i) for i in range(args.m))
     gen = x3c_or_composition(components, args.t_const)
     return gen, [f"items: {args.n}", f"components: {args.m}", f"seed: {args.seed}"]

@@ -139,33 +139,6 @@ class EmptyInput(InputError):
         super().__init__(f"{what} must be non-empty")
 
 
-class WeightSumMismatch(InputError):
-    def __init__(self, total: int, expected: int):
-        self.total = total
-        self.expected = expected
-        super().__init__(f"weights sum to {total}, expected {expected}")
-
-
-class ItemCountMismatch(InputError):
-    def __init__(self, counts: tuple[int, ...]):
-        self.counts = counts
-        super().__init__(f"components disagree on item count: {counts}")
-
-
-class NotExactly3Occurrences(InputError):
-    def __init__(self, item: int, count: int):
-        self.item = item
-        self.count = count
-        super().__init__(f"item {item} occurs in {count} sets, expected exactly 3")
-
-
-class LiteralOccurrenceViolation(InputError):
-    def __init__(self, literal: int, count: int):
-        self.literal = literal
-        self.count = count
-        super().__init__(f"literal {literal} occurs {count} times, expected exactly 2")
-
-
 class InfeasibleParameters(InputError):
     def __init__(self, reason: str):
         self.reason = reason

@@ -38,10 +38,12 @@ from .model import (
     evaluate_assignment,
 )
 
-DEFAULT_MAX_BOOKS = 20
-DEFAULT_MAX_SHOPS_DP = 4
-DEFAULT_MAX_STATES = 2_000_000
-DEFAULT_MAX_SHOPS_FSTAR = 20
+# Size caps, read when a solver is called; past them a solver raises a
+# ``ResourceLimitError`` instead of running.
+MAX_BOOKS = 20  # subset_dp_min_cost
+MAX_SHOPS_DP = 4  # price_vector_min_cost
+MAX_STATES = 2_000_000  # price_vector_min_cost, summed over all layers
+MAX_SHOPS_FSTAR = 20  # fstar_unit_price_min_cost
 
 
 # --- subset dynamic program -------------------------------------------------
@@ -77,7 +79,7 @@ def _earning_sets(instance: Instance, shop: int) -> list[tuple[int, int]]:
     return sets
 
 
-def subset_dp_min_cost(instance: Instance, *, max_books: int = DEFAULT_MAX_BOOKS) -> SolveResult:
+def subset_dp_min_cost(instance: Instance) -> SolveResult:
     """Minimum cost via dynamic programming over sets of claimed books.
 
     Start from every book at its cheapest shop.  A shop that earns its
@@ -88,8 +90,8 @@ def subset_dp_min_cost(instance: Instance, *, max_books: int = DEFAULT_MAX_BOOKS
     cheapest plan; which one, among equally cheap plans, is not fixed.
     """
     n = instance.num_books
-    if n > max_books:
-        raise TooManyBooks(n, max_books)
+    if n > MAX_BOOKS:
+        raise TooManyBooks(n, MAX_BOOKS)
 
     best = {0: 0}
     came_from: list[dict[int, int]] = []  # per shop: state it improved -> state before
@@ -138,12 +140,11 @@ class Decision:
     result: SolveResult | None
 
 
-def _price_vector_search(
-    instance: Instance, max_shops: int, max_states: int
-) -> tuple[int, Assignment]:
+def price_vector_min_cost(instance: Instance) -> SolveResult:
+    """Minimum cost via reachable per-shop spend vectors."""
     m = instance.num_shops
-    if m > max_shops:
-        raise TooManyShops(m, max_shops)
+    if m > MAX_SHOPS_DP:
+        raise TooManyShops(m, MAX_SHOPS_DP)
     n = instance.num_books
 
     # layers[i] maps each reachable spend vector after books 0..i-1 to a
@@ -160,8 +161,8 @@ def _price_vector_search(
                 if ns not in nxt:
                     nxt[ns] = (state, shop)
         total += len(nxt)
-        if total > max_states:
-            raise StateSpaceTooLarge(total, max_states)
+        if total > MAX_STATES:
+            raise StateSpaceTooLarge(total, MAX_STATES)
         layers.append(nxt)
 
     best_cost: int | None = None
@@ -183,36 +184,19 @@ def _price_vector_search(
         assert back is not None
         state, shop = back
         choice[b] = shop
-    return best_cost, Assignment(tuple(choice))
-
-
-def price_vector_min_cost(
-    instance: Instance,
-    *,
-    max_shops: int = DEFAULT_MAX_SHOPS_DP,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> SolveResult:
-    """Minimum cost via reachable per-shop spend vectors."""
-    best_cost, assignment = _price_vector_search(instance, max_shops, max_states)
-    result = evaluate_assignment(instance, assignment)
+    result = evaluate_assignment(instance, Assignment(tuple(choice)))
     assert result.total_cost == best_cost
     return result
 
 
-def price_vector_dp(
-    instance: Instance,
-    budget: int | None = None,
-    *,
-    max_shops: int = DEFAULT_MAX_SHOPS_DP,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> Decision:
+def price_vector_dp(instance: Instance, budget: int | None = None) -> Decision:
     """Decide whether total cost ``budget`` (or the instance budget) is
     achievable; on yes, the witness is a cheapest assignment."""
     if budget is None:
         budget = instance.budget
     if budget is None:
         raise InfeasibleParameters("decision requires a budget")
-    result = price_vector_min_cost(instance, max_shops=max_shops, max_states=max_states)
+    result = price_vector_min_cost(instance)
     if result.total_cost <= budget:
         return Decision(True, result)
     return Decision(False, None)
@@ -370,9 +354,7 @@ def max_fstar_subgraph(instance: Instance, bound: StarDegreeBound) -> tuple[tupl
     return tuple((b, s) for b, s in enumerate(shop_of) if s != -1)
 
 
-def fstar_unit_price_min_cost(
-    instance: Instance, *, max_shops: int = DEFAULT_MAX_SHOPS_FSTAR
-) -> SolveResult:
+def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
     """Minimum cost for unit-price instances by discount-set enumeration.
 
     For each candidate set S of shops to earn their discounts, a feasible
@@ -382,8 +364,8 @@ def fstar_unit_price_min_cost(
     go to the lexicographically smallest shop tuple.
     """
     m = instance.num_shops
-    if m > max_shops:
-        raise TooManyShops(m, max_shops)
+    if m > MAX_SHOPS_FSTAR:
+        raise TooManyShops(m, MAX_SHOPS_FSTAR)
     for o in instance.offers:
         if o.price != 1:
             raise NotUnitPrice(o.book, o.shop, o.price)

@@ -161,22 +161,6 @@ def discount_earned(rule: DiscountRule, spend: int) -> int:
     return rule.discount if spend >= rule.threshold else 0
 
 
-def _cheapest_offer(instance: Instance, book: int) -> tuple[int, int]:
-    if not 0 <= book < instance.num_books:
-        raise DanglingIndex("book", book, instance.num_books)
-    return instance.cheapest[book]
-
-
-def min_price(instance: Instance, book: int) -> int:
-    """Cheapest offer price for a book, ignoring discounts."""
-    return _cheapest_offer(instance, book)[1]
-
-
-def cheapest_shop(instance: Instance, book: int) -> int:
-    """Lowest-index shop attaining ``min_price`` for the book."""
-    return _cheapest_offer(instance, book)[0]
-
-
 def cheapest_plan(instance: Instance) -> list[int]:
     """Every book at its cheapest shop: the choice list solvers start from
     before the shops that earn their discount claim books."""

@@ -10,23 +10,26 @@ from __future__ import annotations
 from math import prod
 
 from .errors import SearchSpaceTooLarge
-from .model import Assignment, Instance, SolveResult, evaluate_assignment, fixed_prices
+from .model import Assignment, Instance, SolveResult, evaluate_assignment
 
-DEFAULT_SEARCH_CAP = 10_000_000
+SEARCH_CAP = 10_000_000  # most assignments brute_force_min_cost enumerates
 
 
-def brute_force_min_cost(instance: Instance, *, cap: int = DEFAULT_SEARCH_CAP) -> SolveResult:
+def brute_force_min_cost(instance: Instance) -> SolveResult:
     """Minimum-cost assignment by exhaustive enumeration.
 
     Assignments are scanned in lexicographic order of the per-book shop
     choice, and only strict improvements are kept, so ties resolve to the
     lexicographically smallest optimal choice.  Raises
-    ``SearchSpaceTooLarge`` when the number of assignments exceeds ``cap``.
+    ``SearchSpaceTooLarge`` when the number of assignments exceeds
+    ``SEARCH_CAP``.  On fixed-price instances, where every assignment has
+    the same gross spend, the cheapest assignment earns the largest
+    discount.
     """
     per_book = instance.offers_by_book
     size = prod(len(options) for options in per_book)
-    if size > cap:
-        raise SearchSpaceTooLarge(size, cap)
+    if size > SEARCH_CAP:
+        raise SearchSpaceTooLarge(size, SEARCH_CAP)
     rules = instance.rules
     # pick[b] indexes book b's options; spends and gross follow every move.
     pick = [0] * instance.num_books
@@ -65,14 +68,3 @@ def brute_force_min_cost(instance: Instance, *, cap: int = DEFAULT_SEARCH_CAP) -
     choice = tuple(per_book[b][i][0] for b, i in enumerate(best_pick))
     return evaluate_assignment(instance, Assignment(choice))
 
-
-def brute_force_max_discount(instance: Instance, *, cap: int = DEFAULT_SEARCH_CAP) -> SolveResult:
-    """Maximum-total-discount assignment, for fixed-price instances.
-
-    Requires every book to cost the same at all shops offering it
-    (``NotFixedPrice`` otherwise).  The gross spend is then the same for
-    every assignment, so this is ``brute_force_min_cost``: the cheapest
-    assignment earns the largest discount, with the same tie-breaking.
-    """
-    fixed_prices(instance)
-    return brute_force_min_cost(instance, cap=cap)

@@ -1,25 +1,18 @@
 """Instance generators: reductions from classic problems, plus random.
 
 Each reduction returns a :class:`GeneratedInstance` bundling the shopping
-instance with the budget encoding the source question, the expected
-answer when the source instance is small enough to decide directly, and a
-witness map from source objects to book/shop indices.
+instance with the budget encoding the source question and the expected
+answer when the source instance is small enough to decide directly.
+Generators refuse a request for more than ``MAX_OFFERS`` offers before
+they build any of it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import (
-    EmptyInput,
-    InfeasibleParameters,
-    ItemCountMismatch,
-    LiteralOccurrenceViolation,
-    NegativeValue,
-    NotExactly3Occurrences,
-    WeightSumMismatch,
-)
+from .errors import EmptyInput, InfeasibleParameters, NegativeValue
 from .model import Instance, make_instance
 from .sources import (
     CnfFormula,
@@ -40,6 +33,10 @@ PERFECT_CODE_DECIDE_CAP = 16  # vertices
 X3C_DECIDE_CAP = 18  # items per component
 MAX3SAT_DECIDE_CAP = 20  # variables
 
+# Most offers a generator builds.  The size is checked from the request,
+# before anything of that size is allocated.
+MAX_OFFERS = 1_000_000
+
 
 @dataclass(frozen=True)
 class GeneratedInstance:
@@ -49,14 +46,21 @@ class GeneratedInstance:
     most ``target_budget`` achievable", or None when the generator did
     not decide it.  ``expected_discount`` is only set by generators whose
     source problem is an optimization (currently the clause-satisfaction
-    one).  ``witness`` maps construction roles to index dictionaries.
+    one).
     """
 
     instance: Instance
     target_budget: int | None
     expected_answer: bool | None
     expected_discount: int | None = None
-    witness: dict[str, dict] = field(default_factory=dict)
+
+
+def check_offer_count(count: int, what: str) -> None:
+    """Refuse a request that may need more than ``MAX_OFFERS`` offers."""
+    if count > MAX_OFFERS:
+        raise InfeasibleParameters(
+            f"{what} may need {count} offers, more than the {MAX_OFFERS} a generator makes"
+        )
 
 
 def _check_weights(weights: tuple[int, ...]) -> None:
@@ -85,8 +89,7 @@ def from_partition(weights: tuple[int, ...]) -> GeneratedInstance:
     budget = total - 2
     expected = has_balanced_partition(weights) if total <= PARTITION_DECIDE_CAP else None
     inst = make_instance(len(weights), rules, offers, budget)
-    witness = {"item_books": {i: i for i in range(len(weights))}}
-    return GeneratedInstance(inst, budget, expected, witness=witness)
+    return GeneratedInstance(inst, budget, expected)
 
 
 def from_bin_packing(weights: tuple[int, ...], bins: int, capacity: int) -> GeneratedInstance:
@@ -105,7 +108,8 @@ def from_bin_packing(weights: tuple[int, ...], bins: int, capacity: int) -> Gene
         raise InfeasibleParameters(f"bin capacity must be positive, got {capacity}")
     total = sum(weights)
     if total != bins * capacity:
-        raise WeightSumMismatch(total, bins * capacity)
+        raise InfeasibleParameters(f"weights sum to {total}, expected {bins * capacity}")
+    check_offer_count(len(weights) * bins, f"{len(weights)} items in {bins} bins")
     rules = [(1, capacity)] * bins
     offers = [(b, s, w) for b, w in enumerate(weights) for s in range(bins)]
     budget = total - bins
@@ -115,8 +119,7 @@ def from_bin_packing(weights: tuple[int, ...], bins: int, capacity: int) -> Gene
         else None
     )
     inst = make_instance(len(weights), rules, offers, budget)
-    witness = {"item_books": {i: i for i in range(len(weights))}}
-    return GeneratedInstance(inst, budget, expected, witness=witness)
+    return GeneratedInstance(inst, budget, expected)
 
 
 def from_perfect_code(graph: SimpleGraph, k: int) -> GeneratedInstance:
@@ -134,6 +137,9 @@ def from_perfect_code(graph: SimpleGraph, k: int) -> GeneratedInstance:
         raise EmptyInput("graph")
     if not 1 <= k <= n:
         raise InfeasibleParameters(f"k must be in 1..{n}, got {k}")
+    check_offer_count(
+        n + 2 * len(graph.edges), f"a graph of {n} vertices and {len(graph.edges)} edges"
+    )
     rules = [(1, graph.degree(v) + 1) for v in range(n)]
     offers = [
         (b, v, 1) for v in range(n) for b in sorted(graph.closed_neighborhoods[v])
@@ -141,11 +147,7 @@ def from_perfect_code(graph: SimpleGraph, k: int) -> GeneratedInstance:
     budget = n - k
     expected = has_neighborhood_packing(graph, k) if n <= PERFECT_CODE_DECIDE_CAP else None
     inst = make_instance(n, rules, offers, budget)
-    witness = {
-        "vertex_books": {v: v for v in range(n)},
-        "vertex_shops": {v: v for v in range(n)},
-    }
-    return GeneratedInstance(inst, budget, expected, witness=witness)
+    return GeneratedInstance(inst, budget, expected)
 
 
 def x3c_or_composition(
@@ -169,7 +171,7 @@ def x3c_or_composition(
         raise EmptyInput("component list")
     counts = tuple(c.num_items for c in components)
     if len(set(counts)) != 1:
-        raise ItemCountMismatch(counts)
+        raise InfeasibleParameters(f"components disagree on item count: {counts}")
     n = counts[0]
     if n == 0:
         raise EmptyInput("component items")
@@ -180,7 +182,9 @@ def x3c_or_composition(
                 occur[item] += 1
         for item, count in enumerate(occur):
             if count != 3:
-                raise NotExactly3Occurrences(item, count)
+                raise InfeasibleParameters(
+                    f"item {item} occurs in {count} sets, expected exactly 3"
+                )
     if t_const < 0:
         raise NegativeValue("t_const", t_const)
 
@@ -204,19 +208,15 @@ def x3c_or_composition(
 
     rules: list[tuple[int, int]] = []
     offers: list[tuple[int, int, int]] = []
-    set_shops: dict[tuple[int, int], int] = {}
     for h, comp in enumerate(components):
-        for s_idx, triple in enumerate(comp.sets):
+        for triple in comp.sets:
             shop = len(rules)
-            set_shops[(h, s_idx)] = shop
             books = [item_book(i) for i in triple]
             books += [ident_book(i, cj) for i in triple for cj in sorted(keys[h])]
             rules.append((len(books), len(books) * price))
             offers += [(b, shop, price) for b in books]
-    selector_shops: dict[tuple[int, int], int] = {}
     for cj in columns:
         shop = len(rules)
-        selector_shops[cj] = shop
         books = [ident_book(i, cj) for i in range(n)]
         rules.append((len(books), len(books) * price))
         offers += [(b, shop, price) for b in books]
@@ -227,15 +227,7 @@ def x3c_or_composition(
     else:
         expected = None
     inst = make_instance(num_books, rules, offers, budget)
-    witness = {
-        "item_books": {i: item_book(i) for i in range(n)},
-        "identifier_books": {
-            (i, cj): ident_book(i, cj) for i in range(n) for cj in columns
-        },
-        "set_shops": set_shops,
-        "selector_shops": selector_shops,
-    }
-    return GeneratedInstance(inst, budget, expected, witness=witness)
+    return GeneratedInstance(inst, budget, expected)
 
 
 def from_max3sat(cnf: CnfFormula) -> GeneratedInstance:
@@ -266,7 +258,9 @@ def from_max3sat(cnf: CnfFormula) -> GeneratedInstance:
     for v in range(1, cnf.num_vars + 1):
         for lit in (v, -v):
             if counts.get(lit, 0) != 2:
-                raise LiteralOccurrenceViolation(lit, counts.get(lit, 0))
+                raise InfeasibleParameters(
+                    f"literal {lit} occurs {counts.get(lit, 0)} times, expected exactly 2"
+                )
 
     num_vars = cnf.num_vars
 
@@ -298,18 +292,7 @@ def from_max3sat(cnf: CnfFormula) -> GeneratedInstance:
     else:
         expected_discount = None
     inst = make_instance(3 * m + num_vars, rules, offers, None)
-    witness = {
-        "occurrence_books": {
-            (i, j): occ_book(i, j) for i in range(m) for j in range(3)
-        },
-        "variable_books": {v: var_book(v) for v in range(1, num_vars + 1)},
-        "clause_shops": {i: i for i in range(m)},
-        "true_shops": {v: true_shop(v) for v in range(1, num_vars + 1)},
-        "false_shops": {v: false_shop(v) for v in range(1, num_vars + 1)},
-    }
-    return GeneratedInstance(
-        inst, None, None, expected_discount=expected_discount, witness=witness
-    )
+    return GeneratedInstance(inst, None, None, expected_discount=expected_discount)
 
 
 def random_x3c(num_items: int, seed: int = 0) -> X3CInstance:
@@ -396,6 +379,7 @@ def random_instance(
                 f"{num_shops} shops capped at {shop_degree_cap} cannot cover "
                 f"{num_books} books"
             )
+    check_offer_count(num_books * num_shops, f"{num_books} books at {num_shops} shops")
     model = discount_model or DiscountModel()
     rng = random.Random(seed)
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .errors import DanglingIndex, InfeasibleParameters, NegativeValue
 
@@ -140,43 +139,26 @@ def has_neighborhood_packing(graph: SimpleGraph, k: int) -> bool:
     return extend(0, frozenset(), k)
 
 
-def packing_number(graph: SimpleGraph) -> int:
-    """Largest k admitting a packing of k closed neighborhoods."""
-    k = 0
-    while has_neighborhood_packing(graph, k + 1):
-        k += 1
-    return k
-
-
-def _exactly_covers(num_items: int, sets: Iterable[frozenset[int]]) -> bool:
-    """Does some subfamily of the sets partition items 0..num_items-1?
+def x3c_solvable(instance: X3CInstance) -> bool:
+    """Does some subfamily of the 3-sets partition the items?
 
     Every partition holds one set containing the lowest item not yet
     covered, so the search branches on those sets only.
     """
-    containing: list[list[frozenset[int]]] = [[] for _ in range(num_items)]
-    for fs in sets:
+    n = instance.num_items
+    if n % 3:
+        return False
+    containing: list[list[frozenset[int]]] = [[] for _ in range(n)]
+    for fs in map(frozenset, instance.sets):
         for item in fs:
             containing[item].append(fs)
-    stack = [frozenset(range(num_items))]
+    stack = [frozenset(range(n))]
     while stack:
         remaining = stack.pop()
         if not remaining:
             return True
         stack.extend(remaining - fs for fs in containing[min(remaining)] if fs <= remaining)
     return False
-
-
-def has_perfect_code(graph: SimpleGraph) -> bool:
-    """Is there a set covering every vertex by exactly one closed neighborhood?"""
-    return _exactly_covers(graph.num_vertices, graph.closed_neighborhoods)
-
-
-def x3c_solvable(instance: X3CInstance) -> bool:
-    """Does some subfamily of the 3-sets partition the items?"""
-    if instance.num_items % 3:
-        return False
-    return _exactly_covers(instance.num_items, map(frozenset, instance.sets))
 
 
 def max_satisfied_clauses(cnf: CnfFormula) -> int:

@@ -9,14 +9,15 @@ checks frozen into the assertions.
 from __future__ import annotations
 
 import random
+import re
 import time
 from itertools import combinations
+from pathlib import Path
 
 from clevershopper import (
     Decision,
     DiscountModel,
     StarDegreeBound,
-    brute_force_max_discount,
     brute_force_min_cost,
     build_discount_graph,
     evaluate_assignment,
@@ -32,7 +33,6 @@ from clevershopper import (
     max_fstar_subgraph,
     max_satisfied_clauses,
     max_weight_matching,
-    min_price,
     parse_instance,
     price_vector_dp,
     random_instance,
@@ -52,7 +52,7 @@ def test_worked_example_exact_solvers_and_matching_weight(five_books_path):
     start = time.perf_counter()
     instance = parse_instance(five_books_path.read_text())
 
-    lowest_total = sum(min_price(instance, b) for b in range(instance.num_books))
+    lowest_total = sum(price for _, price in instance.cheapest)
     assert lowest_total == 40
 
     for solver in (brute_force_min_cost, subset_dp_min_cost, matching2_min_cost):
@@ -214,7 +214,7 @@ def test_cnf_gadget_discount_and_greedy_ratio():
             assert bruteforce.gadget_best_discount(cnf) == optimum
             assert gen.expected_discount == optimum
             if num_vars == 3:
-                assert brute_force_max_discount(gen.instance).total_discount == optimum
+                assert brute_force_min_cost(gen.instance).total_discount == optimum
             greedy = greedy_max_discount(gen.instance)
             assert 3 * greedy.total_discount >= optimum
     assert time.perf_counter() - start < 60.0
@@ -235,7 +235,7 @@ def test_greedy_ratio_bound_fixed_price():
             greedy = greedy_max_discount(inst)
             replayed = evaluate_assignment(inst, greedy.assignment)
             assert replayed == greedy  # valid choice, discounts really earned
-            optimum = brute_force_max_discount(inst).total_discount
+            optimum = brute_force_min_cost(inst).total_discount
             assert k * greedy.total_discount >= optimum
     assert time.perf_counter() - start < 60.0
 
@@ -322,3 +322,14 @@ def test_serialization_round_trip_stability(five_books):
         "OFFER 4 4 8\nOFFER 5 5 7\n"
     )
     assert serialize_instance(five_books) == frozen
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    *body, last = block.strip().splitlines()
+    expression, shown = last.split("#", 1)
+    assert shown.strip().startswith("(7, (0, 0))")
+    namespace: dict = {}
+    exec("\n".join(body), namespace)
+    assert eval(expression, namespace) == (7, (0, 0))

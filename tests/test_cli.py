@@ -389,6 +389,23 @@ class TestGenerate:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "random --n 100000000 --m 2",
+            "binpacking --weights 1000000000 --bins 1000000000 --capacity 1",
+            "x3c --n 1000000000 --m 1",
+            "x3c --n 6 --m 1000000000",
+            "perfectcode --graph {tmp}/huge.graph --k 1",
+        ],
+        ids=["random", "binpacking", "x3c-items", "x3c-components", "perfectcode"],
+    )
+    def test_oversized_request_refused_before_building(self, capsys, tmp_path, argv):
+        (tmp_path / "huge.graph").write_text("100000000000\n1 2\n")
+        code, _, err = run_cli(capsys, "generate", *argv.format(tmp=tmp_path).split())
+        assert code == 2
+        assert "offers, more than the 1000000 a generator makes" in err
+
     def test_bad_weights(self, capsys):
         code, _, err = run_cli(
             capsys, "generate", "partition", "--weights", "1,two,3"
@@ -410,8 +427,10 @@ ALL_GENERATE_FLAGS = sorted(
     {flag for flags in GENERATE_FLAGS.values() for flag in flags} | {"--output", "--seedless"}
 )
 SMALL_TOKENS = ["-1", "0", "1", "2", "3", "12", "x"]
+HUGE_COUNTS = [10**9, 10**12]
 SWITCHES = {"--seedless", "--unit-prices", "--fixed-prices"}
 GRAPH_TEXT = "5\n1 2\n1 3\n2 3\n2 4\n3 4\n4 5\n"
+HUGE_GRAPH_TEXT = "100000000000\n1 2\n2 3\n"
 CNF_TEXT = "p cnf 3 4\n1 2 3 0\n1 2 3 0\n-1 -2 -3 0\n-1 -2 -3 0\n"
 
 
@@ -422,8 +441,9 @@ def generate_call(draw) -> tuple[list[str], str, str]:
 
     Each of the family's own flags is present three times in four, so
     that most calls get past argparse, and half of the calls add one flag
-    drawn from all families.  Counts stay at 12 or less, so no call asks
-    for a large instance.
+    drawn from all families.  Counts are small or huge (10^9, 10^12),
+    and the graph file may declare 10^11 vertices: a generator must refuse
+    a huge request before it allocates it.
     """
     family = draw(st.sampled_from(sorted(GENERATE_FLAGS)))
     flags = {
@@ -443,8 +463,8 @@ def generate_call(draw) -> tuple[list[str], str, str]:
         elif flag == "--output":
             argv.append("{tmp}/out.cshop")
         elif flag not in SWITCHES:
-            argv.append(str(draw(st.integers(-1, 12))))
-    graph = draw(mutated(GRAPH_TEXT, SMALL_TOKENS))
+            argv.append(str(draw(st.integers(-1, 12) | st.sampled_from(HUGE_COUNTS))))
+    graph = draw(mutated(draw(st.sampled_from([GRAPH_TEXT, HUGE_GRAPH_TEXT])), SMALL_TOKENS))
     cnf = draw(mutated(CNF_TEXT, SMALL_TOKENS))
     return argv, graph, cnf
 
@@ -593,6 +613,19 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--dir", str(empty))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "1e400", "0", "-1"])
+    def test_timeout_must_be_positive_and_finite(self, capsys, tmp_path, five_books_path, timeout):
+        bench_dir = tmp_path / "suite"
+        bench_dir.mkdir()
+        (bench_dir / "a.cshop").write_text(five_books_path.read_text())
+        code, out, err = run_cli(
+            capsys, "bench", "--dir", str(bench_dir), "--algos", "oracle",
+            "--timeout", timeout,
+        )
+        assert code == 2
+        assert "timeout must be a positive number of seconds" in err
+        assert out == ""
 
     def test_unknown_algorithm(self, capsys, tmp_path, five_books_path):
         bench_dir = tmp_path / "suite"

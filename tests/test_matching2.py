@@ -15,7 +15,6 @@ from clevershopper import (
     matching2_min_cost,
     matching_weight,
     max_weight_matching,
-    min_price,
     random_instance,
 )
 
@@ -98,7 +97,7 @@ class TestMatching2:
     def test_matching_duality(self, five_books):
         g = build_discount_graph(five_books)
         weight = matching_weight(g, max_weight_matching(g))
-        total = sum(min_price(five_books, b) for b in range(5))
+        total = sum(price for _, price in five_books.cheapest)
         assert matching2_min_cost(five_books).total_cost == total - weight
 
     def test_matches_oracle(self):

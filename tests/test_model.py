@@ -12,11 +12,9 @@ from clevershopper import (
     DuplicateOffer,
     NegativeValue,
     OfferMissing,
-    cheapest_shop,
     discount_earned,
     evaluate_assignment,
     make_instance,
-    min_price,
     validate_instance,
 )
 
@@ -97,26 +95,17 @@ class TestValidation:
 
 class TestAccessors:
     def test_min_price(self, five_books):
-        assert min_price(five_books, 2) == 4  # offers 7, 4, 5, 8
-        assert min_price(five_books, 1) == 9  # offers 10, 9, 11
+        assert five_books.cheapest[2] == (2, 4)  # offers 7, 4, 5, 8
+        assert five_books.cheapest[1] == (1, 9)  # offers 10, 9, 11
 
     def test_min_price_singleton(self):
         inst = make_instance(1, [(1, 1)], [(0, 0, 7)])
-        assert min_price(inst, 0) == 7
-
-    def test_min_price_unknown_book(self, five_books):
-        with pytest.raises(DanglingIndex):
-            min_price(five_books, 5)
-
-    @pytest.mark.parametrize("book", [-1, 5])
-    def test_cheapest_shop_unknown_book(self, five_books, book):
-        with pytest.raises(DanglingIndex):
-            cheapest_shop(five_books, book)
+        assert inst.cheapest == ((0, 7),)
 
     def test_cheapest_shop_prefers_low_index_on_tie(self):
         inst = make_instance(1, [(0, 1), (0, 1), (0, 1)],
                              [(0, 0, 9), (0, 1, 4), (0, 2, 4)])
-        assert cheapest_shop(inst, 0) == 1
+        assert inst.cheapest[0] == (1, 4)
 
     def test_offers_by_book_sorted_by_shop(self, five_books):
         shops = [shop for shop, _ in five_books.offers_by_book[2]]
@@ -166,7 +155,7 @@ class TestEvaluate:
         assert (result.total_cost == gross) == (result.total_discount == 0)
 
     def test_min_price_plan_is_upper_bound(self, five_books):
-        choice = tuple(cheapest_shop(five_books, b) for b in range(5))
+        choice = tuple(shop for shop, _ in five_books.cheapest)
         result = evaluate_assignment(five_books, Assignment(choice))
-        bound = sum(min_price(five_books, b) for b in range(5))
+        bound = sum(price for _, price in five_books.cheapest)
         assert result.total_cost <= bound

@@ -5,13 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clevershopper import (
-    NotFixedPrice,
     SearchSpaceTooLarge,
-    brute_force_max_discount,
     brute_force_min_cost,
     evaluate_assignment,
     make_instance,
-    min_price,
     random_instance,
 )
 
@@ -36,13 +33,14 @@ class TestMinCost:
         assert brute_force_min_cost(inst).assignment.choice == (0, 0)
 
     def test_search_cap(self):
+        # 2^24 assignments, over the cap: refused before enumerating any
         inst = make_instance(
-            4,
+            24,
             [(0, 1), (0, 1)],
-            [(b, s, 1) for b in range(4) for s in range(2)],
+            [(b, s, 1 + b % 3 + s) for b in range(24) for s in range(2)],
         )
         with pytest.raises(SearchSpaceTooLarge):
-            brute_force_min_cost(inst, cap=10)
+            brute_force_min_cost(inst)
 
     def test_deterministic(self, five_books):
         assert brute_force_min_cost(five_books) == brute_force_min_cost(five_books)
@@ -69,37 +67,37 @@ class TestMinCost:
     def test_upper_bounded_by_min_price_sum(self):
         for seed in range(20):
             inst = random_instance(5, 4, max_price=9, seed=seed)
-            bound = sum(min_price(inst, b) for b in range(5))
+            bound = sum(price for _, price in inst.cheapest)
             assert brute_force_min_cost(inst).total_cost <= bound
 
 
 class TestMaxDiscount:
-    def test_rejects_varying_prices(self, five_books):
-        with pytest.raises(NotFixedPrice):
-            brute_force_max_discount(five_books)
+    """On fixed-price instances the cheapest assignment earns the largest
+    discount, so ``brute_force_min_cost`` also maximises the discount."""
 
     def test_unreachable_thresholds(self):
         inst = make_instance(2, [(4, 50)], [(0, 0, 1), (1, 0, 1)])
-        assert brute_force_max_discount(inst).total_discount == 0
+        assert brute_force_min_cost(inst).total_discount == 0
 
     def test_one_shop_selling_everything(self):
         inst = make_instance(3, [(7, 3)], [(b, 0, 1) for b in range(3)])
-        assert brute_force_max_discount(inst).total_discount == 7
+        assert brute_force_min_cost(inst).total_discount == 7
 
     def test_fixed_price_duality(self):
         # on fixed-price instances: min cost = sum of prices - max discount
         for seed in range(25):
             inst = random_instance(4, 3, max_price=6, fixed_prices=True, seed=seed)
-            total = sum(min_price(inst, b) for b in range(4))
-            got = brute_force_max_discount(inst).total_discount
-            assert got == bruteforce.enumerate_max_discount(inst)
-            assert brute_force_min_cost(inst).total_cost == total - got
+            total = sum(price for _, price in inst.cheapest)
+            result = brute_force_min_cost(inst)
+            assert result.total_discount == bruteforce.enumerate_max_discount(inst)
+            assert result.total_cost == total - result.total_discount
 
     def test_search_cap(self):
+        # fixed prices, 2^24 assignments
         inst = make_instance(
-            4,
+            24,
             [(0, 1), (0, 1)],
-            [(b, s, 1) for b in range(4) for s in range(2)],
+            [(b, s, 1 + b % 3) for b in range(24) for s in range(2)],
         )
         with pytest.raises(SearchSpaceTooLarge):
-            brute_force_max_discount(inst, cap=10)
+            brute_force_min_cost(inst)

@@ -14,6 +14,7 @@ from clevershopper import (
     price_vector_min_cost,
     random_instance,
 )
+from clevershopper import exact
 
 
 class TestDecision:
@@ -78,10 +79,11 @@ class TestOptimization:
                 == brute_force_min_cost(inst).total_cost
             )
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
         inst = random_instance(8, 3, max_price=9, seed=1)
+        monkeypatch.setattr(exact, "MAX_STATES", 10)
         with pytest.raises(StateSpaceTooLarge):
-            price_vector_min_cost(inst, max_states=10)
+            price_vector_min_cost(inst)
 
     def test_tie_break_keeps_smallest_spend_vector(self):
         # among equal-cost endings the lexicographically smallest per-shop

@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import random
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +14,7 @@ from clevershopper import (
     can_pack_bins,
     has_balanced_partition,
     has_neighborhood_packing,
-    has_perfect_code,
     max_satisfied_clauses,
-    packing_number,
     x3c_solvable,
 )
 
@@ -94,36 +89,23 @@ class TestNeighborhoodPacking:
     def test_code_graph_packs_two(self, code_graph):
         assert has_neighborhood_packing(code_graph, 2)
         assert not has_neighborhood_packing(code_graph, 3)
-        assert packing_number(code_graph) == 2
-        assert has_perfect_code(code_graph)
 
     def test_path_has_no_size1_code_but_packs(self):
         path = SimpleGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
-        assert packing_number(path) == 2
-        assert has_perfect_code(path)  # {1, 4} covers each vertex once
+        assert has_neighborhood_packing(path, 2)  # {1, 4} covers each vertex once
+        assert not has_neighborhood_packing(path, 3)
 
     def test_star_graph(self):
         star = SimpleGraph(4, ((0, 1), (0, 2), (0, 3)))
-        assert packing_number(star) == 1
-        assert has_perfect_code(star)  # the centre alone
+        assert has_neighborhood_packing(star, 1)  # the centre alone
+        assert not has_neighborhood_packing(star, 2)
 
     def test_no_perfect_code(self):
         # C4: every closed neighborhood has 3 vertices, no exact cover of 4
         square = SimpleGraph(4, ((0, 1), (0, 3), (1, 2), (2, 3)))
-        assert not has_perfect_code(square)
-        assert packing_number(square) == 1
-
-    def test_perfect_code_matches_exhaustive(self):
-        rng = random.Random(5)
-        yes = 0
-        for _ in range(200):
-            n = rng.randint(0, 9)
-            density = rng.choice((0.15, 0.3, 0.5))
-            edges = tuple(e for e in combinations(range(n), 2) if rng.random() < density)
-            want = bruteforce.perfect_code_exists(n, edges)
-            assert has_perfect_code(SimpleGraph(n, edges)) is want, (n, edges)
-            yes += want
-        assert 20 < yes < 180  # both answers occur often
+        assert not bruteforce.perfect_code_exists(4, square.edges)
+        assert has_neighborhood_packing(square, 1)
+        assert not has_neighborhood_packing(square, 2)
 
 
 class TestX3C:

@@ -41,9 +41,9 @@ class TestSubsetDp:
         assert subset_dp_min_cost(inst).total_cost == 8
 
     def test_book_cap(self):
-        inst = make_instance(3, [(0, 1)], [(b, 0, 1) for b in range(3)])
+        inst = make_instance(21, [(0, 1)], [(b, 0, 1) for b in range(21)])
         with pytest.raises(TooManyBooks):
-            subset_dp_min_cost(inst, max_books=2)
+            subset_dp_min_cost(inst)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000))
