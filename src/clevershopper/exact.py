@@ -9,15 +9,21 @@
 * ``price_vector_dp``: few shops, pseudo-polynomial in prices.  Forward
   reachability over per-shop spend vectors, one book at a time.
 * ``matching2_min_cost``: every shop sells at most two books.  Reduces to
-  maximum-weight matching in a derived graph whose edges encode "this shop
-  earns its discount".
+  maximum-weight matching in a graph whose edges are the shops' earning
+  sets: a one-book set joins the book to the shop, a two-book set joins
+  the two books.
 * ``fstar_unit_price_min_cost``: unit prices, few shops.  Enumerates the
   set of shops that will earn their discount and checks each candidate
   with a degree-constrained subgraph (flow) computation.
+
+Every solver returns through ``_claimed_plan``: the cheapest plan with
+the books it claims moved to their shops, priced and checked against the
+saving the solver computed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (
@@ -42,11 +48,11 @@ from .model import (
 # ``ResourceLimitError`` instead of running.
 MAX_BOOKS = 20  # subset_dp_min_cost
 MAX_SHOPS_DP = 4  # price_vector_min_cost
-MAX_STATES = 2_000_000  # price_vector_min_cost, summed over all layers
+MAX_STATES = 2_000_000  # DP entries of price_vector_min_cost and subset_dp_min_cost
 MAX_SHOPS_FSTAR = 20  # fstar_unit_price_min_cost
 
 
-# --- subset dynamic program -------------------------------------------------
+# --- the shared pricing core -------------------------------------------------
 
 
 def _earning_sets(instance: Instance, shop: int) -> list[tuple[int, int]]:
@@ -79,6 +85,25 @@ def _earning_sets(instance: Instance, shop: int) -> list[tuple[int, int]]:
     return sets
 
 
+def _claimed_plan(
+    instance: Instance, claims: Iterable[tuple[int, int]], saving: int
+) -> SolveResult:
+    """The cheapest plan with each claimed ``(book, shop)`` bought there.
+
+    ``saving`` is what the claims save against every book at its cheapest
+    shop; the priced plan must cost exactly that much less.
+    """
+    choice = cheapest_plan(instance)
+    for b, s in claims:
+        choice[b] = s
+    result = evaluate_assignment(instance, Assignment(tuple(choice)))
+    assert result.total_cost == sum(price for _, price in instance.cheapest) - saving
+    return result
+
+
+# --- subset dynamic program -------------------------------------------------
+
+
 def subset_dp_min_cost(instance: Instance) -> SolveResult:
     """Minimum cost via dynamic programming over sets of claimed books.
 
@@ -95,6 +120,7 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
 
     best = {0: 0}
     came_from: list[dict[int, int]] = []  # per shop: state it improved -> state before
+    pointers = 0
     for s in range(instance.num_shops):
         sets = _earning_sets(instance, s)
         after = dict(best)
@@ -109,24 +135,19 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
                     back[new] = state
         best = after
         came_from.append(back)
+        pointers += len(back)
+        if len(best) + pointers > MAX_STATES:
+            raise StateSpaceTooLarge(len(best) + pointers, MAX_STATES)
 
     state = max(best, key=best.__getitem__)
     saving = best[state]
-    choice = cheapest_plan(instance)
+    claims = []
     for s in range(instance.num_shops - 1, -1, -1):
-        prev = came_from[s].get(state)
-        if prev is None:
-            continue
-        claimed = state ^ prev
-        for b in range(n):
-            if claimed >> b & 1:
-                choice[b] = s
+        prev = came_from[s].get(state, state)
+        claims += [(b, s) for b in range(n) if (state ^ prev) >> b & 1]
         state = prev
     assert state == 0
-
-    result = evaluate_assignment(instance, Assignment(tuple(choice)))
-    assert result.total_cost == sum(price for _, price in instance.cheapest) - saving
-    return result
+    return _claimed_plan(instance, claims, saving)
 
 
 # --- price-vector dynamic program -------------------------------------------
@@ -177,16 +198,14 @@ def price_vector_min_cost(instance: Instance) -> SolveResult:
             best_state = state
     assert best_cost is not None and best_state is not None
 
-    choice = [0] * n
+    claims = []  # every book, at the shop the DP chose for it
     state = best_state
     for b in range(n - 1, -1, -1):
         back = layers[b + 1][state]
         assert back is not None
         state, shop = back
-        choice[b] = shop
-    result = evaluate_assignment(instance, Assignment(tuple(choice)))
-    assert result.total_cost == best_cost
-    return result
+        claims.append((b, shop))
+    return _claimed_plan(instance, claims, sum(p for _, p in instance.cheapest) - best_cost)
 
 
 def price_vector_dp(instance: Instance, budget: int | None = None) -> Decision:
@@ -206,42 +225,29 @@ def price_vector_dp(instance: Instance, budget: int | None = None) -> Decision:
 
 
 def build_discount_graph(instance: Instance) -> WeightedGraph:
-    """Derived graph whose maximum-weight matching encodes earned discounts.
+    """Graph whose maximum-weight matching picks the discounts to earn.
 
-    Vertices are the n books followed by the m shops.  A book-shop edge
-    means "buy just this book at this shop and earn its discount"; a
-    book-book edge (tagged with the shop) means "buy this pair at the
-    tagged shop and earn its discount".  Edge weights are the savings
-    relative to buying each book at its cheapest price anywhere; negative
-    edges can never help a maximum matching and are dropped, and parallel
-    book-book candidates keep the heaviest (ties to the lower shop index).
-    Threshold-0 shops earn their discount unconditionally, so their edges
-    carry no discount term; the caller accounts for those discounts as a
-    constant.
+    Vertices are the n books followed by the m shops.  Each edge is one of
+    a shop's earning sets (see ``_earning_sets``), weighted by its saving
+    and tagged with the shop: a one-book set joins the book to the shop,
+    a two-book set joins the two books.  Parallel book-book edges keep the
+    heaviest (ties to the lower shop index).  A threshold-0 shop's only
+    earning set is empty; the caller counts its discount as a constant.
     """
     n = instance.num_books
-    base = [price for _, price in instance.cheapest]
     chosen: dict[tuple[int, int], tuple[int, int]] = {}
-    for s, rule in enumerate(instance.rules):
+    for s in range(instance.num_shops):
         books = instance.books_by_shop[s]
         if len(books) > 2:
             raise DegreeTooHigh(s, len(books))
-        bonus = rule.discount if rule.threshold > 0 else 0
-        for b in books:
-            w = instance.price[(b, s)]
-            if w >= rule.threshold:
-                weight = bonus + base[b] - w
-                if weight >= 0:
-                    chosen[(b, n + s)] = (weight, s)
-        if len(books) == 2:
-            b1, b2 = books
-            w1 = instance.price[(b1, s)]
-            w2 = instance.price[(b2, s)]
-            if w1 + w2 >= rule.threshold:
-                weight = bonus + (base[b1] - w1) + (base[b2] - w2)
-                prev = chosen.get((b1, b2))
-                if weight >= 0 and (prev is None or weight > prev[0]):
-                    chosen[(b1, b2)] = (weight, s)
+        for g, saving in _earning_sets(instance, s):
+            ends = tuple(b for b in books if g >> b & 1)
+            if len(ends) == 1:
+                chosen[(ends[0], n + s)] = (saving, s)
+            elif len(ends) == 2:
+                prev = chosen.get(ends)
+                if prev is None or saving > prev[0]:
+                    chosen[ends] = (saving, s)
     edges = tuple(
         WeightedEdge(u, v, weight, tag=s)
         for (u, v), (weight, s) in sorted(chosen.items())
@@ -263,20 +269,13 @@ def matching2_min_cost(instance: Instance) -> SolveResult:
     free = sum(rule.discount for rule in instance.rules if rule.threshold == 0)
 
     edge_at = {(e.u, e.v): e for e in graph.edges}  # built with u < v, as matched
-    choice = cheapest_plan(instance)
+    claims = []
     weight = 0
     for (u, v) in matched:
         edge = edge_at[(u, v)]
         weight += edge.weight
-        if v >= n:
-            choice[u] = v - n  # buy this book alone at the shop
-        else:
-            assert edge.tag is not None
-            choice[u] = choice[v] = edge.tag  # buy the pair at the tagged shop
-
-    result = evaluate_assignment(instance, Assignment(tuple(choice)))
-    assert result.total_cost == sum(price for _, price in instance.cheapest) - weight - free
-    return result
+        claims += [(b, edge.tag) for b in (u, v) if b < n]
+    return _claimed_plan(instance, claims, weight + free)
 
 
 # --- discount-set enumeration for unit prices --------------------------------
@@ -386,10 +385,4 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
         if len(star) == tsum:
             best = (cost, shops, star)
     assert best is not None  # the empty set always qualifies
-
-    choice = cheapest_plan(instance)
-    for b, s in best[2]:
-        choice[b] = s
-    result = evaluate_assignment(instance, Assignment(tuple(choice)))
-    assert result.total_cost == best[0]
-    return result
+    return _claimed_plan(instance, best[2], n - best[0])  # each book costs 1 at its cheapest

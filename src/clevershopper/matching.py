@@ -8,7 +8,7 @@ current dual variables, in which case the duals are adjusted by the least
 slack.  Each dual step finds that slack with one O(V + E) scan over the
 edges.  Least-slack edge lists per vertex and blossom would bound a step
 by O(V) on dense graphs, but the package's one caller,
-``build_discount_graph``, emits at most 3 edges per shop, so E < 3V and
+``build_discount_graph``, emits at most 2 edges per shop, so E < 2V and
 the scan costs no more.
 Edge slacks are computed as dual[i] + dual[j] - 2*weight so that all dual
 arithmetic stays integral for integer edge weights.

@@ -305,6 +305,7 @@ def random_x3c(num_items: int, seed: int = 0) -> X3CInstance:
     """
     if num_items < 3:
         raise InfeasibleParameters(f"need at least 3 items, got {num_items}")
+    check_offer_count(3 * num_items, f"{num_items} items")
     rng = random.Random(seed)
     slots = [i for i in range(num_items) for _ in range(3)]
     rng.shuffle(slots)

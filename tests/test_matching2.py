@@ -24,12 +24,14 @@ class TestDiscountGraph:
         g = build_discount_graph(five_books)
         # books 0..4, then one vertex per shop
         assert g.num_vertices == 10
+        # Only threshold-minimal sets with a positive saving: books 1+2 at
+        # shop 1 and books 2+3 at shop 3 are gone, because one of the two
+        # reaches the threshold alone; books 2+3 at shop 2 save 0, and
+        # books 3+5 at shop 5 save -1.
         assert g.edges == (
-            WeightedEdge(0, 1, 2, 0),  # books 1+2 together at shop 1
             WeightedEdge(0, 5, 3, 0),  # book 1 alone reaches shop 1
-            WeightedEdge(1, 2, 1, 2),  # books 2+3 at shop 3
-            WeightedEdge(1, 5, 2, 0),
-            WeightedEdge(1, 7, 1, 2),
+            WeightedEdge(1, 5, 2, 0),  # book 2 alone reaches shop 1
+            WeightedEdge(1, 7, 1, 2),  # book 2 alone reaches shop 3
             WeightedEdge(2, 3, 2, 3),  # books 3+4 at shop 4
         )
 
@@ -100,19 +102,36 @@ class TestMatching2:
         total = sum(price for _, price in five_books.cheapest)
         assert matching2_min_cost(five_books).total_cost == total - weight
 
-    def test_matches_oracle(self):
+    # Unit, fixed and low prices tie often, and ties are where the graph's
+    # dropped edges (pairs that are not threshold-minimal, savings <= 0)
+    # could cost a plan.  Thresholds reach up to two books' top price;
+    # threshold-0 shops are drawn throughout, and discount-0 shops in every
+    # set (all of them under "no-discounts").
+    @pytest.mark.parametrize("max_discount", [0, 4], ids=["no-discounts", "discounts"])
+    @pytest.mark.parametrize(
+        "prices",
+        [
+            dict(unit_prices=True),
+            dict(fixed_prices=True, max_price=4),
+            dict(max_price=3),
+            dict(max_price=6),
+        ],
+        ids=["unit", "fixed", "low", "varied"],
+    )
+    def test_matches_oracle(self, prices, max_discount):
         rng = random.Random(42)
-        model = DiscountModel(max_discount=4, min_threshold=0, max_threshold=12)
+        top = 2 * prices.get("max_price", 1)
+        model = DiscountModel(max_discount=max_discount, min_threshold=0, max_threshold=top)
         for _ in range(150):
             n = rng.randint(1, 8)
             m = rng.randint((n + 1) // 2, n + 2)
             inst = random_instance(
                 n,
                 m,
-                max_price=6,
                 shop_degree_cap=2,
                 discount_model=model,
                 seed=rng.randint(0, 10**6),
+                **prices,
             )
             got = matching2_min_cost(inst)
             assert got.total_cost == brute_force_min_cost(inst).total_cost

@@ -327,3 +327,8 @@ class TestRandomInstance:
                     for item in triple:
                         occur[item] += 1
                 assert all(c == 3 for c in occur)
+
+    def test_x3c_generator_refuses_oversized_request(self):
+        # checked before the 3 * num_items slots are allocated
+        with pytest.raises(InfeasibleParameters, match="offers, more than"):
+            random_x3c(10**9)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from clevershopper import (
     DiscountModel,
+    StateSpaceTooLarge,
     TooManyBooks,
     brute_force_min_cost,
     evaluate_assignment,
@@ -15,6 +16,7 @@ from clevershopper import (
     random_instance,
     subset_dp_min_cost,
 )
+from clevershopper import exact
 from clevershopper.exact import _earning_sets
 
 
@@ -43,6 +45,16 @@ class TestSubsetDp:
     def test_book_cap(self):
         inst = make_instance(21, [(0, 1)], [(b, 0, 1) for b in range(21)])
         with pytest.raises(TooManyBooks):
+            subset_dp_min_cost(inst)
+
+    def test_state_cap(self, monkeypatch):
+        # MAX_BOOKS bounds the 2^k tables of one shop, not the DP itself:
+        # its saving states and back-pointers count against MAX_STATES.
+        inst = random_instance(
+            8, 4, unit_prices=True, discount_model=DiscountModel(5, 1, 2), seed=1
+        )
+        monkeypatch.setattr(exact, "MAX_STATES", 100)
+        with pytest.raises(StateSpaceTooLarge):
             subset_dp_min_cost(inst)
 
     @settings(max_examples=60, deadline=None)
