@@ -6,8 +6,13 @@
   books, keeping the largest total saving per set of claimed books.
   O(m * 2^n * e) time, where e is the most earning sets of one shop; they
   are threshold-minimal, so a shop selling k books has at most C(k, k/2).
-* ``price_vector_dp``: few shops, pseudo-polynomial in prices.  Forward
-  reachability over per-shop spend vectors, one book at a time.
+* ``price_vector_min_cost`` / ``price_vector_dp``: few shops,
+  pseudo-polynomial in prices.  DP over per-shop spend vectors, one book
+  at a time, pruned by a lower bound against the budget or the cheapest
+  plan: a vector is dropped once even buying every remaining book at its
+  cheapest shop and earning every discount still in reach costs more.
+  Among several cheapest plans, the one with the smallest final spend
+  vector is returned.
 * ``matching2_min_cost``: every shop sells at most two books.  Reduces to
   maximum-weight matching in a graph whose edges are the shops' earning
   sets: a one-book set joins the book to the shop, a two-book set joins
@@ -41,6 +46,7 @@ from .model import (
     Instance,
     SolveResult,
     cheapest_plan,
+    discount_earned,
     evaluate_assignment,
 )
 
@@ -125,6 +131,10 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
         sets = _earning_sets(instance, s)
         after = dict(best)
         back: dict[int, int] = {}
+        room = MAX_STATES - pointers  # for this shop's states and back-pointers
+        # Every state new to ``after`` has a back-pointer, so the room can
+        # run out only once ``back`` holds more than half of what is left.
+        half = (room - len(best)) // 2
         for state, saving in best.items():
             for g, gain in sets:
                 if state & g:
@@ -133,11 +143,11 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
                 if saving + gain > after.get(new, 0):
                     after[new] = saving + gain
                     back[new] = state
+            if len(back) > half and len(after) + len(back) > room:
+                raise StateSpaceTooLarge(len(after) + len(back) + pointers, MAX_STATES)
         best = after
         came_from.append(back)
         pointers += len(back)
-        if len(best) + pointers > MAX_STATES:
-            raise StateSpaceTooLarge(len(best) + pointers, MAX_STATES)
 
     state = max(best, key=best.__getitem__)
     saving = best[state]
@@ -161,24 +171,69 @@ class Decision:
     result: SolveResult | None
 
 
-def price_vector_min_cost(instance: Instance) -> SolveResult:
-    """Minimum cost via reachable per-shop spend vectors."""
+def price_vector_min_cost(instance: Instance, budget: int | None = None) -> SolveResult | None:
+    """Minimum cost via a DP over per-shop spend vectors, pruned by a lower
+    bound against the budget or the cheapest plan.
+
+    Books are placed one at a time, and each layer holds the spend vectors
+    reachable so far.  After books 0..i-1, a vector v is dropped when
+
+        LB(v) = sum(v) + R_i - (discounts of the shops s with v_s + A_si >= t_s)
+
+    exceeds the bound: R_i is the total of the cheapest prices of books
+    i..n-1, and A_si is what shop s charges for those of them it sells.  No
+    plan extending v costs less than LB(v), so no prefix of a plan within
+    the bound is dropped.  The bound is the cost of the cheapest plan, or
+    ``budget`` if that is lower; returns None when every plan costs more
+    than ``budget``.  Among several cheapest plans, returns the one whose
+    final spend vector is smallest.
+    """
     m = instance.num_shops
     if m > MAX_SHOPS_DP:
         raise TooManyShops(m, MAX_SHOPS_DP)
     n = instance.num_books
+    shops = range(m)
+    discount = [rule.discount for rule in instance.rules]
 
-    # layers[i] maps each reachable spend vector after books 0..i-1 to a
+    bound = evaluate_assignment(instance, Assignment(tuple(cheapest_plan(instance)))).total_cost
+    if budget is not None:
+        bound = min(bound, budget)
+    # rest[i] = R_i; need[i][s] = t_s - A_si, the spend at shop s after
+    # books 0..i-1 from which the books left can still earn its discount.
+    rest = [0] * (n + 1)
+    need = [[]] * n + [[rule.threshold for rule in instance.rules]]
+    for b in range(n - 1, -1, -1):
+        rest[b] = rest[b + 1] + instance.cheapest[b][1]
+        need[b] = list(need[b + 1])
+        for shop, price in instance.offers_by_book[b]:
+            need[b][shop] -= price
+
+    # layers[i] maps each kept spend vector after books 0..i-1 to a
     # back-pointer (previous vector, shop chosen for book i-1).  Iteration
     # in sorted order with first-writer-wins keeps everything deterministic.
     start: tuple[int, ...] = (0,) * m
     layers: list[dict[tuple[int, ...], tuple[tuple[int, ...], int] | None]] = [{start: None}]
     total = 1
     for b in range(n):
+        reach = need[b + 1]
+        slack = bound - rest[b + 1]
         nxt: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {}
         for state in sorted(layers[-1]):
+            # A successor's LB - R_(b+1) is base + the price of book b, less
+            # the discount of its shop if that price lifts the spend there
+            # to ``reach``: base counts the discounts already in reach.
+            base = sum(state)
+            for s in shops:
+                if state[s] >= reach[s]:
+                    base -= discount[s]
             for shop, price in instance.offers_by_book[b]:
-                ns = state[:shop] + (state[shop] + price,) + state[shop + 1 :]
+                spend = state[shop]
+                lb = base + price
+                if spend < reach[shop] <= spend + price:
+                    lb -= discount[shop]
+                if lb > slack:
+                    continue
+                ns = state[:shop] + (spend + price,) + state[shop + 1 :]
                 if ns not in nxt:
                     nxt[ns] = (state, shop)
         total += len(nxt)
@@ -186,39 +241,35 @@ def price_vector_min_cost(instance: Instance) -> SolveResult:
             raise StateSpaceTooLarge(total, MAX_STATES)
         layers.append(nxt)
 
-    best_cost: int | None = None
-    best_state: tuple[int, ...] | None = None
-    for state in sorted(layers[-1]):
-        cost = sum(state)
-        for s, rule in enumerate(instance.rules):
-            if state[s] >= rule.threshold:
-                cost -= rule.discount
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_state = state
-    assert best_cost is not None and best_state is not None
+    best = min(
+        ((sum(v) - sum(map(discount_earned, instance.rules, v)), v) for v in layers[-1]),
+        default=None,
+    )
+    if best is None or best[0] > bound:  # with no books, nothing was checked
+        return None
+    best_cost, state = best
 
     claims = []  # every book, at the shop the DP chose for it
-    state = best_state
     for b in range(n - 1, -1, -1):
         back = layers[b + 1][state]
         assert back is not None
         state, shop = back
         claims.append((b, shop))
-    return _claimed_plan(instance, claims, sum(p for _, p in instance.cheapest) - best_cost)
+    return _claimed_plan(instance, claims, rest[0] - best_cost)
 
 
 def price_vector_dp(instance: Instance, budget: int | None = None) -> Decision:
     """Decide whether total cost ``budget`` (or the instance budget) is
-    achievable; on yes, the witness is a cheapest assignment."""
+    achievable, by a DP over per-shop spend vectors, pruned by a lower
+    bound against the budget or the cheapest plan (``price_vector_min_cost``
+    with ``budget``).  On yes, the witness is the cheapest plan that
+    ``price_vector_min_cost`` returns."""
     if budget is None:
         budget = instance.budget
     if budget is None:
         raise InfeasibleParameters("decision requires a budget")
-    result = price_vector_min_cost(instance)
-    if result.total_cost <= budget:
-        return Decision(True, result)
-    return Decision(False, None)
+    result = price_vector_min_cost(instance, budget)
+    return Decision(result is not None, result)
 
 
 # --- matching reduction for shops selling at most two books ------------------

@@ -114,16 +114,20 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
         return dualvar[i] + dualvar[j] - 2 * wt
 
     def blossom_leaves(b: int) -> Iterator[int]:
-        if b < nvertex:
+        if b < nvertex:  # most calls; no stack to build
             yield b
-        else:
-            childs = blossomchilds[b]
-            assert childs is not None
-            for t in childs:
-                if t < nvertex:
-                    yield t
-                else:
-                    yield from blossom_leaves(t)
+            return
+        # Depth first, children in order, on an explicit stack: blossoms
+        # can nest about as deep as there are vertices.
+        stack = [b]
+        while stack:
+            t = stack.pop()
+            if t < nvertex:
+                yield t
+            else:
+                childs = blossomchilds[t]
+                assert childs is not None
+                stack.extend(reversed(childs))
 
     def assign_label(w: int, t: int, p: int) -> None:
         b = inblossom[w]

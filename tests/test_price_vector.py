@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from clevershopper import (
+    DiscountModel,
     InfeasibleParameters,
     StateSpaceTooLarge,
     TooManyShops,
     brute_force_min_cost,
     evaluate_assignment,
+    from_bin_packing,
     from_partition,
+    has_balanced_partition,
     make_instance,
     price_vector_dp,
     price_vector_min_cost,
@@ -64,6 +69,44 @@ class TestDecision:
             wallet = sum(o.price for o in inst.offers)
             for budget in range(0, wallet + 1):
                 assert price_vector_dp(inst, budget).feasible == (opt <= budget)
+
+    def test_partition_gadgets(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            weights = tuple(rng.randint(1, 60) for _ in range(rng.randint(8, 14)))
+            gen = from_partition(weights)
+            decision = price_vector_dp(gen.instance, gen.target_budget)
+            assert decision.feasible == has_balanced_partition(weights)
+
+    def test_bin_packing_gadgets(self):
+        rng = random.Random(10)
+        for _ in range(60):
+            bins = rng.randint(2, 4)
+            weights = [rng.randint(1, 12) for _ in range(rng.randint(bins, 8))]
+            weights[-1] += -sum(weights) % bins
+            gen = from_bin_packing(tuple(weights), bins, sum(weights) // bins)
+            decision = price_vector_dp(gen.instance, gen.target_budget)
+            assert decision.feasible == gen.expected_answer
+
+    def test_large_discounts_at_the_optimum(self):
+        # Discounts far above the prices make the cheapest plan a poor
+        # bound, so the budget does the pruning.
+        model = DiscountModel(max_discount=40, min_threshold=1, max_threshold=25)
+        for seed in range(40):
+            inst = random_instance(6, 4, max_price=9, discount_model=model, seed=seed)
+            opt = brute_force_min_cost(inst).total_cost
+            assert not price_vector_dp(inst, opt - 1).feasible
+            decision = price_vector_dp(inst, opt)
+            assert decision.feasible
+            assert decision.result is not None and decision.result.total_cost == opt
+
+    @pytest.mark.parametrize("last, answer", [(22, True), (23, False)])
+    def test_budget_prunes_spend_vectors(self, monkeypatch, last, answer):
+        # Without pruning, both gadgets reach about 1,585 spend vectors;
+        # dropping those that cannot meet the budget leaves about 573.
+        gen = from_partition((17, 23, 5, 41, 8, 30, 12, 19, 27, 36, 9, 14, 11, last))
+        monkeypatch.setattr(exact, "MAX_STATES", 1_000)
+        assert price_vector_dp(gen.instance, gen.target_budget).feasible is answer
 
 
 class TestOptimization:

@@ -57,6 +57,20 @@ class TestSubsetDp:
         with pytest.raises(StateSpaceTooLarge):
             subset_dp_min_cost(inst)
 
+    @pytest.mark.parametrize("cap", [100, 1_000])
+    def test_state_cap_checked_within_a_shop(self, monkeypatch, cap):
+        # The count is checked after each state of a shop's pass, so the
+        # refusal comes before one pass can add many more entries: one
+        # state adds at most two (a state and a back-pointer) per set.
+        inst = random_instance(
+            12, 6, unit_prices=True, discount_model=DiscountModel(5, 1, 2), seed=1
+        )
+        most_sets = max(len(exact._earning_sets(inst, s)) for s in range(inst.num_shops))
+        monkeypatch.setattr(exact, "MAX_STATES", cap)
+        with pytest.raises(StateSpaceTooLarge) as refused:
+            subset_dp_min_cost(inst)
+        assert refused.value.size <= cap + 2 * most_sets
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000))
     def test_matches_oracle(self, seed):
