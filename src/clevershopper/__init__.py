@@ -11,27 +11,15 @@ and a CLI.
 from .approx import greedy_max_discount
 from .bench import ALGORITHM_NAMES, run_algorithm, run_bench
 from .errors import (
-    BookUncovered,
     CleverShopperError,
     DanglingIndex,
-    DegreeTooHigh,
-    DuplicateOffer,
     EmptyInput,
-    InfeasibleParameters,
     InputError,
     NegativeValue,
-    NotFixedPrice,
-    NotUnitPrice,
-    OfferMissing,
     ParseError,
     ResourceLimitError,
-    SearchSpaceTooLarge,
-    StateSpaceTooLarge,
-    TooManyBooks,
-    TooManyShops,
 )
 from .exact import (
-    Decision,
     StarDegreeBound,
     build_discount_graph,
     fstar_unit_price_min_cost,
@@ -92,35 +80,23 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHM_NAMES",
     "Assignment",
-    "BookUncovered",
     "CheckReport",
     "CleverShopperError",
     "CnfFormula",
     "DanglingIndex",
-    "Decision",
-    "DegreeTooHigh",
     "DiscountModel",
     "DiscountRule",
-    "DuplicateOffer",
     "EmptyInput",
     "GeneratedInstance",
-    "InfeasibleParameters",
     "InputError",
     "Instance",
     "NegativeValue",
-    "NotFixedPrice",
-    "NotUnitPrice",
     "Offer",
-    "OfferMissing",
     "ParseError",
     "ResourceLimitError",
-    "SearchSpaceTooLarge",
     "SimpleGraph",
     "SolveResult",
     "StarDegreeBound",
-    "StateSpaceTooLarge",
-    "TooManyBooks",
-    "TooManyShops",
     "WeightedEdge",
     "WeightedGraph",
     "X3CInstance",

@@ -14,7 +14,7 @@ from multiprocessing import Pipe, Process
 from pathlib import Path
 
 from .approx import greedy_max_discount
-from .errors import InfeasibleParameters, InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .exact import (
     fstar_unit_price_min_cost,
     matching2_min_cost,
@@ -42,7 +42,7 @@ def run_algorithm(name: str, instance: Instance) -> SolveResult:
     try:
         solver = _DISPATCH[name]
     except KeyError:
-        raise InfeasibleParameters(f"unknown algorithm {name!r}") from None
+        raise InputError(f"unknown algorithm {name!r}") from None
     return solver(instance)
 
 
@@ -80,10 +80,10 @@ def run_bench(
     gets a ``gap`` field (its cost minus the oracle cost).
     """
     if not 0 < timeout < math.inf:
-        raise InfeasibleParameters(f"timeout must be a positive number of seconds, got {timeout}")
+        raise InputError(f"timeout must be a positive number of seconds, got {timeout}")
     for algo in algos:
         if algo not in _DISPATCH:
-            raise InfeasibleParameters(f"unknown algorithm {algo!r}")
+            raise InputError(f"unknown algorithm {algo!r}")
     records: list[dict] = []
     for path in paths:
         for algo in algos:

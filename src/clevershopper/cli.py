@@ -154,12 +154,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else instance.budget
 
     if args.algo == "price-dp" and budget is not None:
-        decision = price_vector_dp(instance, budget)
-        if not decision.feasible:
+        result = price_vector_dp(instance, budget)
+        if result is None:
             print(f"no: minimum cost exceeds budget {budget}")
             return EXIT_NO
-        result = decision.result
-        assert result is not None
     else:
         result = run_algorithm(args.algo, instance)
 

@@ -12,7 +12,8 @@
   plan: a vector is dropped once even buying every remaining book at its
   cheapest shop and earning every discount still in reach costs more.
   Among several cheapest plans, the one with the smallest final spend
-  vector is returned.
+  vector is returned.  ``price_vector_dp`` answers a budget question
+  with that plan as the witness for yes, or None for no.
 * ``matching2_min_cost``: every shop sells at most two books.  Reduces to
   maximum-weight matching in a graph whose edges are the shops' earning
   sets: a one-book set joins the book to the shop, a two-book set joins
@@ -31,15 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import (
-    DegreeTooHigh,
-    InfeasibleParameters,
-    NegativeValue,
-    NotUnitPrice,
-    StateSpaceTooLarge,
-    TooManyBooks,
-    TooManyShops,
-)
+from .errors import InputError, NegativeValue, ResourceLimitError
 from .matching import WeightedEdge, WeightedGraph, max_weight_matching
 from .model import (
     Assignment,
@@ -122,7 +115,7 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
     """
     n = instance.num_books
     if n > MAX_BOOKS:
-        raise TooManyBooks(n, MAX_BOOKS)
+        raise ResourceLimitError(f"instance has {n} books, solver cap is {MAX_BOOKS}")
 
     best = {0: 0}
     came_from: list[dict[int, int]] = []  # per shop: state it improved -> state before
@@ -144,7 +137,8 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
                     after[new] = saving + gain
                     back[new] = state
             if len(back) > half and len(after) + len(back) > room:
-                raise StateSpaceTooLarge(len(after) + len(back) + pointers, MAX_STATES)
+                size = len(after) + len(back) + pointers
+                raise ResourceLimitError(f"reachable state count {size} exceeds cap {MAX_STATES}")
         best = after
         came_from.append(back)
         pointers += len(back)
@@ -161,14 +155,6 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
 
 
 # --- price-vector dynamic program -------------------------------------------
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of a budget decision: feasibility plus a witness if yes."""
-
-    feasible: bool
-    result: SolveResult | None
 
 
 def price_vector_min_cost(instance: Instance, budget: int | None = None) -> SolveResult | None:
@@ -190,7 +176,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     """
     m = instance.num_shops
     if m > MAX_SHOPS_DP:
-        raise TooManyShops(m, MAX_SHOPS_DP)
+        raise ResourceLimitError(f"instance has {m} shops, solver cap is {MAX_SHOPS_DP}")
     n = instance.num_books
     shops = range(m)
     discount = [rule.discount for rule in instance.rules]
@@ -238,7 +224,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
                     nxt[ns] = (state, shop)
         total += len(nxt)
         if total > MAX_STATES:
-            raise StateSpaceTooLarge(total, MAX_STATES)
+            raise ResourceLimitError(f"reachable state count {total} exceeds cap {MAX_STATES}")
         layers.append(nxt)
 
     best = min(
@@ -258,18 +244,17 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     return _claimed_plan(instance, claims, rest[0] - best_cost)
 
 
-def price_vector_dp(instance: Instance, budget: int | None = None) -> Decision:
+def price_vector_dp(instance: Instance, budget: int | None = None) -> SolveResult | None:
     """Decide whether total cost ``budget`` (or the instance budget) is
     achievable, by a DP over per-shop spend vectors, pruned by a lower
     bound against the budget or the cheapest plan (``price_vector_min_cost``
-    with ``budget``).  On yes, the witness is the cheapest plan that
-    ``price_vector_min_cost`` returns."""
+    with ``budget``).  Returns the witness on yes, which is the cheapest
+    plan that ``price_vector_min_cost`` returns, and None on no."""
     if budget is None:
         budget = instance.budget
     if budget is None:
-        raise InfeasibleParameters("decision requires a budget")
-    result = price_vector_min_cost(instance, budget)
-    return Decision(result is not None, result)
+        raise InputError("decision requires a budget")
+    return price_vector_min_cost(instance, budget)
 
 
 # --- matching reduction for shops selling at most two books ------------------
@@ -290,7 +275,7 @@ def build_discount_graph(instance: Instance) -> WeightedGraph:
     for s in range(instance.num_shops):
         books = instance.books_by_shop[s]
         if len(books) > 2:
-            raise DegreeTooHigh(s, len(books))
+            raise InputError(f"shop s{s + 1} sells {len(books)} books, solver handles at most 2")
         for g, saving in _earning_sets(instance, s):
             ends = tuple(b for b in books if g >> b & 1)
             if len(ends) == 1:
@@ -354,7 +339,7 @@ def max_fstar_subgraph(instance: Instance, bound: StarDegreeBound) -> tuple[tupl
     m = instance.num_shops
     caps = bound.shop_caps
     if len(caps) != m:
-        raise InfeasibleParameters(f"need {m} shop caps, got {len(caps)}")
+        raise InputError(f"need {m} shop caps, got {len(caps)}")
     for s, cap in enumerate(caps):
         if cap < 0:
             raise NegativeValue(f"cap of shop {s}", cap)
@@ -415,10 +400,13 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
     """
     m = instance.num_shops
     if m > MAX_SHOPS_FSTAR:
-        raise TooManyShops(m, MAX_SHOPS_FSTAR)
+        raise ResourceLimitError(f"instance has {m} shops, solver cap is {MAX_SHOPS_FSTAR}")
     for o in instance.offers:
         if o.price != 1:
-            raise NotUnitPrice(o.book, o.shop, o.price)
+            raise InputError(
+                f"offer for book b{o.book + 1} at shop s{o.shop + 1} has price {o.price}, "
+                "expected 1"
+            )
     n = instance.num_books
     rules = instance.rules
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BookUnassigned, DanglingIndex, ParseError
+from .errors import DanglingIndex, InputError, ParseError
 from .model import Assignment, Instance, SolveResult, evaluate_assignment, make_instance
 from .sources import CnfFormula, SimpleGraph
 
@@ -189,7 +189,7 @@ def check_solution(instance: Instance, text: str, budget: int | None = None) -> 
     choice = []
     for book in range(instance.num_books):
         if book not in assigns:
-            raise BookUnassigned(book)
+            raise InputError(f"the solution assigns book b{book + 1} to no shop")
         choice.append(assigns[book])
     result = evaluate_assignment(instance, Assignment(tuple(choice)))
     if budget is None:

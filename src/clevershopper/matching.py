@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .errors import InputError
+
 NO_NODE = -1
 
 
@@ -48,12 +50,12 @@ class WeightedGraph:
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
             if e.u == e.v:
-                raise ValueError(f"self-loop at vertex {e.u}")
+                raise InputError(f"self-loop at vertex {e.u}")
             if not (0 <= e.u < self.num_vertices and 0 <= e.v < self.num_vertices):
-                raise ValueError(f"edge ({e.u}, {e.v}) out of range")
+                raise InputError(f"edge ({e.u}, {e.v}) out of range")
             key = (min(e.u, e.v), max(e.u, e.v))
             if key in seen:
-                raise ValueError(f"duplicate edge {key}")
+                raise InputError(f"duplicate edge {key}")
             seen.add(key)
         return self
 

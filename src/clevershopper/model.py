@@ -19,15 +19,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    BookUnassigned,
-    BookUncovered,
-    DanglingIndex,
-    DuplicateOffer,
-    NegativeValue,
-    NotFixedPrice,
-    OfferMissing,
-)
+from .errors import DanglingIndex, InputError, NegativeValue
 
 
 class Offer(NamedTuple):
@@ -126,8 +118,8 @@ class SolveResult:
 def validate_instance(instance: Instance) -> Instance:
     """Check structural invariants, returning the instance unchanged.
 
-    Raises ``NegativeValue``, ``DanglingIndex``, ``DuplicateOffer`` or
-    ``BookUncovered``.  Solvers assume a validated instance.
+    Raises ``InputError`` (``NegativeValue`` and ``DanglingIndex`` among
+    them).  Solvers assume a validated instance.
     """
     if instance.num_books < 0:
         raise NegativeValue("book count", instance.num_books)
@@ -147,12 +139,13 @@ def validate_instance(instance: Instance) -> Instance:
         if o.price < 0:
             raise NegativeValue(f"price of book {o.book} at shop {o.shop}", o.price)
         if (o.book, o.shop) in seen:
-            raise DuplicateOffer(o.book, o.shop)
+            raise InputError(f"duplicate offer for book b{o.book + 1} at shop s{o.shop + 1}")
         seen.add((o.book, o.shop))
     covered = {o.book for o in instance.offers}
     if len(covered) < instance.num_books:
         # The first gap is among the first len(covered) + 1 books.
-        raise BookUncovered(next(b for b in range(instance.num_books) if b not in covered))
+        book = next(b for b in range(instance.num_books) if b not in covered)
+        raise InputError(f"book b{book + 1} is offered by no shop")
     return instance
 
 
@@ -169,10 +162,10 @@ def cheapest_plan(instance: Instance) -> list[int]:
 
 def fixed_prices(instance: Instance) -> list[int]:
     """The one price of each book, for instances where every shop offering
-    a book charges the same for it; raises ``NotFixedPrice`` otherwise."""
+    a book charges the same for it; raises ``InputError`` otherwise."""
     for book, options in enumerate(instance.offers_by_book):
         if len({price for _, price in options}) > 1:
-            raise NotFixedPrice(book)
+            raise InputError(f"book b{book + 1} is offered at differing prices")
     return [price for _, price in instance.cheapest]
 
 
@@ -184,7 +177,7 @@ def evaluate_assignment(instance: Instance, assignment: Assignment) -> SolveResu
     """
     choice = assignment.choice
     if len(choice) < instance.num_books:
-        raise BookUnassigned(len(choice))
+        raise InputError(f"the solution assigns book b{len(choice) + 1} to no shop")
     if len(choice) > instance.num_books:
         raise DanglingIndex("book", instance.num_books, instance.num_books)
     spends = {s: 0 for s in range(instance.num_shops)}
@@ -194,7 +187,7 @@ def evaluate_assignment(instance: Instance, assignment: Assignment) -> SolveResu
             raise DanglingIndex("shop", shop, instance.num_shops)
         price = instance.price.get((book, shop))
         if price is None:
-            raise OfferMissing(book, shop)
+            raise InputError(f"no offer for book b{book + 1} at shop s{shop + 1}")
         spends[shop] += price
         gross += price
     total_discount = sum(

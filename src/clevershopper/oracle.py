@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .errors import SearchSpaceTooLarge
+from .errors import ResourceLimitError
 from .model import Assignment, Instance, SolveResult, evaluate_assignment
 
 SEARCH_CAP = 10_000_000  # most assignments brute_force_min_cost enumerates
@@ -21,7 +21,7 @@ def brute_force_min_cost(instance: Instance) -> SolveResult:
     Assignments are scanned in lexicographic order of the per-book shop
     choice, and only strict improvements are kept, so ties resolve to the
     lexicographically smallest optimal choice.  Raises
-    ``SearchSpaceTooLarge`` when the number of assignments exceeds
+    ``ResourceLimitError`` when the number of assignments exceeds
     ``SEARCH_CAP``.  On fixed-price instances, where every assignment has
     the same gross spend, the cheapest assignment earns the largest
     discount.
@@ -29,7 +29,7 @@ def brute_force_min_cost(instance: Instance) -> SolveResult:
     per_book = instance.offers_by_book
     size = prod(len(options) for options in per_book)
     if size > SEARCH_CAP:
-        raise SearchSpaceTooLarge(size, SEARCH_CAP)
+        raise ResourceLimitError(f"search space has {size} assignments, cap is {SEARCH_CAP}")
     rules = instance.rules
     # pick[b] indexes book b's options; spends and gross follow every move.
     pick = [0] * instance.num_books

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import EmptyInput, InfeasibleParameters, NegativeValue
+from .errors import EmptyInput, InputError, NegativeValue
 from .model import Instance, make_instance
 from .sources import (
     CnfFormula,
@@ -58,7 +58,7 @@ class GeneratedInstance:
 def check_offer_count(count: int, what: str) -> None:
     """Refuse a request that may need more than ``MAX_OFFERS`` offers."""
     if count > MAX_OFFERS:
-        raise InfeasibleParameters(
+        raise InputError(
             f"{what} may need {count} offers, more than the {MAX_OFFERS} a generator makes"
         )
 
@@ -82,7 +82,7 @@ def from_partition(weights: tuple[int, ...]) -> GeneratedInstance:
     _check_weights(weights)
     total = sum(weights)
     if total < 2:
-        raise InfeasibleParameters(f"weights must sum to at least 2, got {total}")
+        raise InputError(f"weights must sum to at least 2, got {total}")
     half = (total + 1) // 2
     rules = [(1, half), (1, half)]
     offers = [(b, s, w) for b, w in enumerate(weights) for s in (0, 1)]
@@ -103,12 +103,12 @@ def from_bin_packing(weights: tuple[int, ...], bins: int, capacity: int) -> Gene
     """
     _check_weights(weights)
     if bins < 1:
-        raise InfeasibleParameters(f"need at least one bin, got {bins}")
+        raise InputError(f"need at least one bin, got {bins}")
     if capacity < 1:
-        raise InfeasibleParameters(f"bin capacity must be positive, got {capacity}")
+        raise InputError(f"bin capacity must be positive, got {capacity}")
     total = sum(weights)
     if total != bins * capacity:
-        raise InfeasibleParameters(f"weights sum to {total}, expected {bins * capacity}")
+        raise InputError(f"weights sum to {total}, expected {bins * capacity}")
     check_offer_count(len(weights) * bins, f"{len(weights)} items in {bins} bins")
     rules = [(1, capacity)] * bins
     offers = [(b, s, w) for b, w in enumerate(weights) for s in range(bins)]
@@ -136,7 +136,7 @@ def from_perfect_code(graph: SimpleGraph, k: int) -> GeneratedInstance:
     if n == 0:
         raise EmptyInput("graph")
     if not 1 <= k <= n:
-        raise InfeasibleParameters(f"k must be in 1..{n}, got {k}")
+        raise InputError(f"k must be in 1..{n}, got {k}")
     check_offer_count(
         n + 2 * len(graph.edges), f"a graph of {n} vertices and {len(graph.edges)} edges"
     )
@@ -171,7 +171,7 @@ def x3c_or_composition(
         raise EmptyInput("component list")
     counts = tuple(c.num_items for c in components)
     if len(set(counts)) != 1:
-        raise InfeasibleParameters(f"components disagree on item count: {counts}")
+        raise InputError(f"components disagree on item count: {counts}")
     n = counts[0]
     if n == 0:
         raise EmptyInput("component items")
@@ -182,9 +182,7 @@ def x3c_or_composition(
                 occur[item] += 1
         for item, count in enumerate(occur):
             if count != 3:
-                raise InfeasibleParameters(
-                    f"item {item} occurs in {count} sets, expected exactly 3"
-                )
+                raise InputError(f"item {item} occurs in {count} sets, expected exactly 3")
     if t_const < 0:
         raise NegativeValue("t_const", t_const)
 
@@ -258,7 +256,7 @@ def from_max3sat(cnf: CnfFormula) -> GeneratedInstance:
     for v in range(1, cnf.num_vars + 1):
         for lit in (v, -v):
             if counts.get(lit, 0) != 2:
-                raise InfeasibleParameters(
+                raise InputError(
                     f"literal {lit} occurs {counts.get(lit, 0)} times, expected exactly 2"
                 )
 
@@ -304,7 +302,7 @@ def random_x3c(num_items: int, seed: int = 0) -> X3CInstance:
     counts not divisible by three are always unsolvable.
     """
     if num_items < 3:
-        raise InfeasibleParameters(f"need at least 3 items, got {num_items}")
+        raise InputError(f"need at least 3 items, got {num_items}")
     check_offer_count(3 * num_items, f"{num_items} items")
     rng = random.Random(seed)
     slots = [i for i in range(num_items) for _ in range(3)]
@@ -369,14 +367,14 @@ def random_instance(
     book can still get one.
     """
     if num_books < 1 or num_shops < 1:
-        raise InfeasibleParameters("need at least one book and one shop")
+        raise InputError("need at least one book and one shop")
     if max_price < 1:
-        raise InfeasibleParameters(f"max price must be positive, got {max_price}")
+        raise InputError(f"max price must be positive, got {max_price}")
     if shop_degree_cap is not None:
         if shop_degree_cap < 1:
-            raise InfeasibleParameters(f"degree cap must be positive, got {shop_degree_cap}")
+            raise InputError(f"degree cap must be positive, got {shop_degree_cap}")
         if shop_degree_cap * num_shops < num_books:
-            raise InfeasibleParameters(
+            raise InputError(
                 f"{num_shops} shops capped at {shop_degree_cap} cannot cover "
                 f"{num_books} books"
             )

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DanglingIndex, InfeasibleParameters, NegativeValue
+from .errors import DanglingIndex, InputError, NegativeValue
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,9 @@ class SimpleGraph:
             if not 0 <= v < self.num_vertices:
                 raise DanglingIndex("vertex", v, self.num_vertices)
             if u >= v:
-                raise InfeasibleParameters(f"edge ({u}, {v}) must satisfy u < v")
+                raise InputError(f"edge ({u}, {v}) must satisfy u < v")
             if (u, v) in seen:
-                raise InfeasibleParameters(f"duplicate edge ({u}, {v})")
+                raise InputError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
 
     @cached_property
@@ -54,7 +54,7 @@ class X3CInstance:
     def __post_init__(self) -> None:
         for triple in self.sets:
             if len(set(triple)) != 3:
-                raise InfeasibleParameters(f"set {triple} does not have 3 distinct items")
+                raise InputError(f"set {triple} does not have 3 distinct items")
             for item in triple:
                 if not 0 <= item < self.num_items:
                     raise DanglingIndex("item", item, self.num_items)
@@ -73,7 +73,7 @@ class CnfFormula:
     def __post_init__(self) -> None:
         for clause in self.clauses:
             if len(clause) != 3:
-                raise InfeasibleParameters(f"clause {clause} does not have 3 literals")
+                raise InputError(f"clause {clause} does not have 3 literals")
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise DanglingIndex("variable", abs(lit), self.num_vars)

@@ -15,7 +15,6 @@ from itertools import combinations
 from pathlib import Path
 
 from clevershopper import (
-    Decision,
     DiscountModel,
     StarDegreeBound,
     brute_force_min_cost,
@@ -122,12 +121,11 @@ def test_exact_solvers_match_oracle_sweeps():
             max(p for _, p in inst.offers_by_book[b]) for b in range(inst.num_books)
         )
         for k in range(0, wallet + 1):
-            decision = price_vector_dp(inst, k)
-            assert isinstance(decision, Decision)
-            assert decision.feasible == (opt <= k)
-            if decision.feasible:
-                got = evaluate_assignment(inst, decision.result.assignment)
-                assert got.total_cost == decision.result.total_cost <= k
+            result = price_vector_dp(inst, k)
+            assert (result is not None) == (opt <= k)
+            if result is not None:
+                got = evaluate_assignment(inst, result.assignment)
+                assert got.total_cost == result.total_cost <= k
 
     assert time.perf_counter() - start < 120.0
 
@@ -290,10 +288,10 @@ def test_performance_floor():
     gen = from_partition(weights)
     assert gen.expected_answer is True
     start = time.perf_counter()
-    decision = price_vector_dp(gen.instance)
+    result = price_vector_dp(gen.instance)
     assert time.perf_counter() - start < 5.0
-    assert decision.feasible is True
-    assert decision.result.total_cost <= gen.target_budget
+    assert result is not None
+    assert result.total_cost <= gen.target_budget
 
 
 def test_serialization_round_trip_stability(five_books):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from clevershopper import (
-    NotFixedPrice,
+    InputError,
     brute_force_min_cost,
     discount_earned,
     evaluate_assignment,
@@ -28,7 +28,7 @@ class TestGreedy:
         assert greedy_max_discount(inst).total_discount == 0
 
     def test_rejects_varying_prices(self, five_books):
-        with pytest.raises(NotFixedPrice):
+        with pytest.raises(InputError, match="book b2 is offered at differing prices"):
             greedy_max_discount(five_books)
 
     def test_empty_inventory_shop_skipped_but_still_counted(self):

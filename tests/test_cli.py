@@ -19,6 +19,7 @@ from clevershopper import (
     random_instance,
     serialize_instance,
 )
+from clevershopper import exact
 from clevershopper.bench import ALGORITHM_NAMES
 from clevershopper.cli import main
 
@@ -125,14 +126,41 @@ class TestSolve:
         assert code == 2
         assert "CLEVERSHOP" in err
 
-    def test_size_cap_exit_code(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "algo, instance, flags, max_states, message",
+        [
+            pytest.param(
+                "subset-dp", random_instance(21, 3, seed=0), [], None,
+                "instance has 21 books, solver cap is 20", id="subset-dp-books",
+            ),
+            pytest.param(
+                "price-dp", random_instance(6, 5, seed=1), [], None,
+                "instance has 5 shops, solver cap is 4", id="price-dp-shops",
+            ),
+            pytest.param(
+                "fstar", make_instance(1, [(0, 1)] * 21, [(0, s, 1) for s in range(21)]), [],
+                None, "instance has 21 shops, solver cap is 20", id="fstar-shops",
+            ),
+            pytest.param(
+                "oracle",
+                make_instance(24, [(0, 1)] * 2, [(b, s, 1) for b in range(24) for s in (0, 1)]),
+                [], None, "search space has 16777216 assignments, cap is 10000000", id="oracle",
+            ),
+            pytest.param(
+                "price-dp", random_instance(8, 3, max_price=9, seed=1), ["--budget", "29"], 10,
+                "reachable state count 11 exceeds cap 10", id="price-dp-states",
+            ),
+        ],
+    )
+    def test_size_cap_exit_code(
+        self, capsys, tmp_path, monkeypatch, algo, instance, flags, max_states, message
+    ):
+        if max_states is not None:
+            monkeypatch.setattr(exact, "MAX_STATES", max_states)
         big = tmp_path / "big.cshop"
-        big.write_text(serialize_instance(random_instance(21, 3, seed=0)))
-        code, _, err = run_cli(
-            capsys, "solve", "--input", str(big), "--algo", "subset-dp"
-        )
-        assert code == 3
-        assert "error:" in err
+        big.write_text(serialize_instance(instance))
+        result = run_cli(capsys, "solve", "--input", str(big), "--algo", algo, *flags)
+        assert result == (3, "", f"error: {message}\n")
 
     def test_oracle_on_long_single_offer_file(self, capsys, tmp_path):
         # 3000 books with one offer each: a search space of one assignment,

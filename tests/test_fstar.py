@@ -6,11 +6,10 @@ import pytest
 
 from clevershopper import (
     DiscountModel,
-    InfeasibleParameters,
+    InputError,
     NegativeValue,
-    NotUnitPrice,
+    ResourceLimitError,
     StarDegreeBound,
-    TooManyShops,
     brute_force_min_cost,
     evaluate_assignment,
     from_perfect_code,
@@ -46,7 +45,7 @@ class TestStarSubgraph:
 
     def test_cap_vector_length_checked(self):
         inst = unit_instance(2, 1, [(0, 0), (1, 0)])
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InputError, match="need 2 shop caps, got 1"):
             max_fstar_subgraph(inst, StarDegreeBound((1,)))
 
     def test_negative_capacity_rejected(self):
@@ -85,12 +84,14 @@ class TestUnitPriceSolver:
         assert fstar_unit_price_min_cost(inst).total_cost == 4
 
     def test_rejects_non_unit_prices(self, five_books):
-        with pytest.raises(NotUnitPrice):
+        with pytest.raises(
+            InputError, match="offer for book b1 at shop s1 has price 12, expected 1"
+        ):
             fstar_unit_price_min_cost(five_books)
 
     def test_shop_cap(self):
         inst = make_instance(1, [(0, 1)] * 21, [(0, s, 1) for s in range(21)])
-        with pytest.raises(TooManyShops):
+        with pytest.raises(ResourceLimitError, match="instance has 21 shops, solver cap is 20"):
             fstar_unit_price_min_cost(inst)
 
     def test_tie_prefers_lower_shops(self):

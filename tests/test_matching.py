@@ -5,6 +5,7 @@ import random
 import pytest
 
 from clevershopper import (
+    InputError,
     WeightedEdge,
     WeightedGraph,
     matching_weight,
@@ -100,15 +101,15 @@ class TestSmallGraphs:
 
 class TestGraphChecks:
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="self-loop at vertex 1"):
             graph(2, [(1, 1, 3)]).check()
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"edge \(0, 5\) out of range"):
             graph(2, [(0, 5, 3)]).check()
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"duplicate edge \(0, 1\)"):
             graph(3, [(0, 1, 3), (1, 0, 2)]).check()
 
     def test_matching_weight_sums_pairs(self):

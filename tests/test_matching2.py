@@ -5,8 +5,8 @@ import random
 import pytest
 
 from clevershopper import (
-    DegreeTooHigh,
     DiscountModel,
+    InputError,
     WeightedEdge,
     brute_force_min_cost,
     build_discount_graph,
@@ -76,7 +76,7 @@ class TestMatching2:
 
     def test_degree_three_rejected(self):
         inst = make_instance(3, [(1, 1)], [(b, 0, 1) for b in range(3)])
-        with pytest.raises(DegreeTooHigh):
+        with pytest.raises(InputError, match="shop s1 sells 3 books, solver handles at most 2"):
             matching2_min_cost(inst)
 
     def test_no_reachable_threshold_buys_cheapest(self):

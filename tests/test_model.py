@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from clevershopper import (
     Assignment,
-    BookUncovered,
     DanglingIndex,
     DiscountRule,
-    DuplicateOffer,
+    InputError,
     NegativeValue,
-    OfferMissing,
     discount_earned,
     evaluate_assignment,
     make_instance,
@@ -49,20 +47,17 @@ class TestValidation:
         assert five_books.num_shops == 5
 
     def test_uncovered_book(self):
-        with pytest.raises(BookUncovered) as err:
+        with pytest.raises(InputError, match="book b2 is offered by no shop"):
             make_instance(2, [(1, 1)], [(0, 0, 5)])
-        assert err.value.book == 1
 
     def test_uncovered_book_of_huge_declared_count(self):
         # Found from the offers, without a table the size of the count.
-        with pytest.raises(BookUncovered) as err:
+        with pytest.raises(InputError, match="book b2 is offered by no shop"):
             make_instance(10**15, [(0, 0)], [(0, 0, 5)])
-        assert err.value.book == 1
 
     def test_duplicate_offer(self):
-        with pytest.raises(DuplicateOffer) as err:
+        with pytest.raises(InputError, match="duplicate offer for book b1 at shop s1"):
             make_instance(1, [(1, 1)], [(0, 0, 12), (0, 0, 10)])
-        assert (err.value.book, err.value.shop) == (0, 0)
 
     def test_dangling_book_index(self):
         with pytest.raises(DanglingIndex):
@@ -131,12 +126,11 @@ class TestEvaluate:
         assert result.total_discount == 0
 
     def test_offer_missing(self, five_books):
-        with pytest.raises(OfferMissing) as err:
+        with pytest.raises(InputError, match="no offer for book b1 at shop s2"):
             evaluate_assignment(five_books, Assignment((1, 0, 1, 3, 4)))
-        assert (err.value.book, err.value.shop) == (0, 1)
 
     def test_short_choice_rejected(self, five_books):
-        with pytest.raises(BookUncovered):
+        with pytest.raises(InputError, match="the solution assigns book b3 to no shop"):
             evaluate_assignment(five_books, Assignment((0, 0)))
 
     def test_long_choice_rejected(self, five_books):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clevershopper import (
-    SearchSpaceTooLarge,
+    ResourceLimitError,
     brute_force_min_cost,
     evaluate_assignment,
     make_instance,
@@ -39,7 +39,9 @@ class TestMinCost:
             [(0, 1), (0, 1)],
             [(b, s, 1 + b % 3 + s) for b in range(24) for s in range(2)],
         )
-        with pytest.raises(SearchSpaceTooLarge):
+        with pytest.raises(
+            ResourceLimitError, match="search space has 16777216 assignments, cap is 10000000"
+        ):
             brute_force_min_cost(inst)
 
     def test_deterministic(self, five_books):
@@ -99,5 +101,7 @@ class TestMaxDiscount:
             [(0, 1), (0, 1)],
             [(b, s, 1 + b % 3) for b in range(24) for s in range(2)],
         )
-        with pytest.raises(SearchSpaceTooLarge):
+        with pytest.raises(
+            ResourceLimitError, match="search space has 16777216 assignments, cap is 10000000"
+        ):
             brute_force_min_cost(inst)

@@ -6,9 +6,8 @@ import pytest
 
 from clevershopper import (
     DiscountModel,
-    InfeasibleParameters,
-    StateSpaceTooLarge,
-    TooManyShops,
+    InputError,
+    ResourceLimitError,
     brute_force_min_cost,
     evaluate_assignment,
     from_bin_packing,
@@ -25,40 +24,36 @@ from clevershopper import exact
 class TestDecision:
     def test_partition_yes(self):
         gen = from_partition((1, 2, 3))
-        decision = price_vector_dp(gen.instance, 4)
-        assert decision.feasible
-        assert decision.result is not None
-        assert decision.result.total_cost <= 4
+        result = price_vector_dp(gen.instance, 4)
+        assert result is not None
+        assert result.total_cost <= 4
 
     def test_partition_no(self):
         gen = from_partition((1, 1, 3))
-        decision = price_vector_dp(gen.instance, 3)
-        assert not decision.feasible
-        assert decision.result is None
+        assert price_vector_dp(gen.instance, 3) is None
 
     def test_single_shop_collapses_to_sum_test(self):
         inst = make_instance(2, [(3, 9)], [(0, 0, 5), (1, 0, 5)])
         # total 10 >= 9, so cost is 7
-        assert price_vector_dp(inst, 7).feasible
-        assert not price_vector_dp(inst, 6).feasible
+        assert price_vector_dp(inst, 7) is not None
+        assert price_vector_dp(inst, 6) is None
 
     def test_budget_defaults_to_instance(self):
         inst = make_instance(1, [(0, 1)], [(0, 0, 5)], budget=5)
-        assert price_vector_dp(inst).feasible
-        assert not price_vector_dp(make_instance(1, [(0, 1)], [(0, 0, 5)], budget=4)).feasible
+        assert price_vector_dp(inst) is not None
+        assert price_vector_dp(make_instance(1, [(0, 1)], [(0, 0, 5)], budget=4)) is None
 
     def test_missing_budget_rejected(self):
         inst = make_instance(1, [(0, 1)], [(0, 0, 5)])
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InputError, match="decision requires a budget"):
             price_vector_dp(inst)
 
     def test_witness_respects_budget(self):
         for seed in range(25):
             inst = random_instance(5, 3, max_price=6, seed=seed)
             opt = brute_force_min_cost(inst).total_cost
-            decision = price_vector_dp(inst, opt)
-            assert decision.feasible
-            result = decision.result
+            result = price_vector_dp(inst, opt)
+            assert result is not None
             assert evaluate_assignment(inst, result.assignment) == result
             assert result.total_cost <= opt
 
@@ -68,15 +63,15 @@ class TestDecision:
             opt = brute_force_min_cost(inst).total_cost
             wallet = sum(o.price for o in inst.offers)
             for budget in range(0, wallet + 1):
-                assert price_vector_dp(inst, budget).feasible == (opt <= budget)
+                assert (price_vector_dp(inst, budget) is not None) == (opt <= budget)
 
     def test_partition_gadgets(self):
         rng = random.Random(9)
         for _ in range(60):
             weights = tuple(rng.randint(1, 60) for _ in range(rng.randint(8, 14)))
             gen = from_partition(weights)
-            decision = price_vector_dp(gen.instance, gen.target_budget)
-            assert decision.feasible == has_balanced_partition(weights)
+            result = price_vector_dp(gen.instance, gen.target_budget)
+            assert (result is not None) == has_balanced_partition(weights)
 
     def test_bin_packing_gadgets(self):
         rng = random.Random(10)
@@ -85,8 +80,8 @@ class TestDecision:
             weights = [rng.randint(1, 12) for _ in range(rng.randint(bins, 8))]
             weights[-1] += -sum(weights) % bins
             gen = from_bin_packing(tuple(weights), bins, sum(weights) // bins)
-            decision = price_vector_dp(gen.instance, gen.target_budget)
-            assert decision.feasible == gen.expected_answer
+            result = price_vector_dp(gen.instance, gen.target_budget)
+            assert (result is not None) == gen.expected_answer
 
     def test_large_discounts_at_the_optimum(self):
         # Discounts far above the prices make the cheapest plan a poor
@@ -95,10 +90,9 @@ class TestDecision:
         for seed in range(40):
             inst = random_instance(6, 4, max_price=9, discount_model=model, seed=seed)
             opt = brute_force_min_cost(inst).total_cost
-            assert not price_vector_dp(inst, opt - 1).feasible
-            decision = price_vector_dp(inst, opt)
-            assert decision.feasible
-            assert decision.result is not None and decision.result.total_cost == opt
+            assert price_vector_dp(inst, opt - 1) is None
+            result = price_vector_dp(inst, opt)
+            assert result is not None and result.total_cost == opt
 
     @pytest.mark.parametrize("last, answer", [(22, True), (23, False)])
     def test_budget_prunes_spend_vectors(self, monkeypatch, last, answer):
@@ -106,12 +100,12 @@ class TestDecision:
         # dropping those that cannot meet the budget leaves about 573.
         gen = from_partition((17, 23, 5, 41, 8, 30, 12, 19, 27, 36, 9, 14, 11, last))
         monkeypatch.setattr(exact, "MAX_STATES", 1_000)
-        assert price_vector_dp(gen.instance, gen.target_budget).feasible is answer
+        assert (price_vector_dp(gen.instance, gen.target_budget) is not None) is answer
 
 
 class TestOptimization:
     def test_five_books_too_many_shops(self, five_books):
-        with pytest.raises(TooManyShops):
+        with pytest.raises(ResourceLimitError, match="instance has 5 shops, solver cap is 4"):
             price_vector_min_cost(five_books)
 
     def test_matches_oracle(self):
@@ -125,7 +119,7 @@ class TestOptimization:
     def test_state_cap(self, monkeypatch):
         inst = random_instance(8, 3, max_price=9, seed=1)
         monkeypatch.setattr(exact, "MAX_STATES", 10)
-        with pytest.raises(StateSpaceTooLarge):
+        with pytest.raises(ResourceLimitError, match="reachable state count 11 exceeds cap 10"):
             price_vector_min_cost(inst)
 
     def test_tie_break_keeps_smallest_spend_vector(self):

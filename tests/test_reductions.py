@@ -8,7 +8,7 @@ from clevershopper import (
     CnfFormula,
     DiscountRule,
     EmptyInput,
-    InfeasibleParameters,
+    InputError,
     NegativeValue,
     SimpleGraph,
     X3CInstance,
@@ -87,11 +87,11 @@ class TestBinPacking:
         assert brute_force_min_cost(gen.instance).total_cost > gen.target_budget
 
     def test_weight_sum_checked(self):
-        with pytest.raises(InfeasibleParameters, match="weights sum to 3, expected 8"):
+        with pytest.raises(InputError, match="weights sum to 3, expected 8"):
             from_bin_packing((1, 1, 1), 2, 4)
 
     def test_bin_count_checked(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InputError, match="need at least one bin, got 0"):
             from_bin_packing((4,), 0, 4)
 
     def test_oracle_correspondence(self):
@@ -136,7 +136,7 @@ class TestPerfectCode:
         assert brute_force_min_cost(gen.instance).total_cost == 2
 
     def test_k_out_of_range(self, code_graph):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InputError, match=r"k must be in 1\.\.5, got 6"):
             from_perfect_code(code_graph, 6)
 
     def test_empty_graph(self):
@@ -227,12 +227,12 @@ class TestX3CComposition:
             assert bruteforce.inventories_exactly_cover(gen.instance) == want
 
     def test_component_sizes_must_agree(self):
-        with pytest.raises(InfeasibleParameters, match="disagree on item count: \\(6, 9\\)"):
+        with pytest.raises(InputError, match="disagree on item count: \\(6, 9\\)"):
             x3c_or_composition((random_x3c(6, seed=0), random_x3c(9, seed=0)))
 
     def test_occurrence_count_enforced(self):
         comp = X3CInstance(3, ((0, 1, 2),))
-        with pytest.raises(InfeasibleParameters, match="item 0 occurs in 1 sets, expected"):
+        with pytest.raises(InputError, match="item 0 occurs in 1 sets, expected"):
             x3c_or_composition((comp,))
 
     def test_empty_component_list(self):
@@ -262,12 +262,12 @@ class TestMax3Sat:
         assert inst.rules[4:] == (DiscountRule(2, 3),) * 6
 
     def test_no_clauses_rejected(self):
-        with pytest.raises(InfeasibleParameters, match="literal 1 occurs 0 times, expected"):
+        with pytest.raises(InputError, match="literal 1 occurs 0 times, expected"):
             from_max3sat(CnfFormula(3, ()))
 
     def test_unbalanced_occurrences_rejected(self):
         cnf = CnfFormula(3, ((1, 2, 3), (1, 2, 3), (1, -2, -3), (-1, -2, -3)))
-        with pytest.raises(InfeasibleParameters, match="literal 1 occurs 3 times"):
+        with pytest.raises(InputError, match="literal 1 occurs 3 times"):
             from_max3sat(cnf)
 
     def test_matches_enumerator_on_small_formulas(self):
@@ -314,7 +314,7 @@ class TestRandomInstance:
             assert all(inst.offers_by_book[b] for b in range(7))
 
     def test_impossible_degree_cap_rejected(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InputError, match="2 shops capped at 2 cannot cover 9 books"):
             random_instance(9, 2, shop_degree_cap=2, seed=0)
 
     def test_x3c_generator_is_valid_and_deterministic(self):
@@ -330,5 +330,5 @@ class TestRandomInstance:
 
     def test_x3c_generator_refuses_oversized_request(self):
         # checked before the 3 * num_items slots are allocated
-        with pytest.raises(InfeasibleParameters, match="offers, more than"):
+        with pytest.raises(InputError, match="offers, more than"):
             random_x3c(10**9)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from clevershopper import (
     CnfFormula,
     DanglingIndex,
-    InfeasibleParameters,
+    InputError,
     NegativeValue,
     SimpleGraph,
     X3CInstance,
@@ -32,11 +32,11 @@ class TestSimpleGraph:
             SimpleGraph(2, ((0, 5),))
 
     def test_edge_order_enforced(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InputError, match=r"edge \(2, 1\) must satisfy u < v"):
             SimpleGraph(3, ((2, 1),))
 
     def test_duplicate_edge(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InputError, match=r"duplicate edge \(0, 1\)"):
             SimpleGraph(3, ((0, 1), (0, 1)))
 
 
@@ -110,7 +110,7 @@ class TestNeighborhoodPacking:
 
 class TestX3C:
     def test_invalid_set_size(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InputError, match=r"set \(0, 1, 1\) does not have 3 distinct items"):
             X3CInstance(3, ((0, 1, 1),))
 
     def test_item_out_of_range(self):
@@ -139,7 +139,7 @@ class TestX3C:
 
 class TestCnf:
     def test_clause_length_checked(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InputError, match=r"clause \(1, 2\) does not have 3 literals"):
             CnfFormula(3, ((1, 2),))
 
     def test_literal_range_checked(self):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import time
 
 import pytest
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 
 from clevershopper import (
     DiscountModel,
-    StateSpaceTooLarge,
-    TooManyBooks,
+    ResourceLimitError,
     brute_force_min_cost,
     evaluate_assignment,
     make_instance,
@@ -44,7 +44,7 @@ class TestSubsetDp:
 
     def test_book_cap(self):
         inst = make_instance(21, [(0, 1)], [(b, 0, 1) for b in range(21)])
-        with pytest.raises(TooManyBooks):
+        with pytest.raises(ResourceLimitError, match="instance has 21 books, solver cap is 20"):
             subset_dp_min_cost(inst)
 
     def test_state_cap(self, monkeypatch):
@@ -54,7 +54,7 @@ class TestSubsetDp:
             8, 4, unit_prices=True, discount_model=DiscountModel(5, 1, 2), seed=1
         )
         monkeypatch.setattr(exact, "MAX_STATES", 100)
-        with pytest.raises(StateSpaceTooLarge):
+        with pytest.raises(ResourceLimitError, match="reachable state count 101 exceeds cap 100"):
             subset_dp_min_cost(inst)
 
     @pytest.mark.parametrize("cap", [100, 1_000])
@@ -67,9 +67,10 @@ class TestSubsetDp:
         )
         most_sets = max(len(exact._earning_sets(inst, s)) for s in range(inst.num_shops))
         monkeypatch.setattr(exact, "MAX_STATES", cap)
-        with pytest.raises(StateSpaceTooLarge) as refused:
+        with pytest.raises(ResourceLimitError, match=rf"exceeds cap {cap}$") as refused:
             subset_dp_min_cost(inst)
-        assert refused.value.size <= cap + 2 * most_sets
+        size = re.match(r"reachable state count (\d+) ", str(refused.value))
+        assert int(size[1]) <= cap + 2 * most_sets
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000))
