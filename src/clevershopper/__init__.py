@@ -42,7 +42,6 @@ from .fileio import (
 )
 from .matching import WeightedEdge, WeightedGraph, matching_weight, max_weight_matching
 from .model import (
-    Assignment,
     DiscountRule,
     Instance,
     Offer,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHM_NAMES",
-    "Assignment",
     "CheckReport",
     "CleverShopperError",
     "CnfFormula",

@@ -12,7 +12,6 @@ book, and each blocked shop has no larger discount.
 from __future__ import annotations
 
 from .model import (
-    Assignment,
     Instance,
     SolveResult,
     cheapest_plan,
@@ -39,4 +38,4 @@ def greedy_max_discount(instance: Instance) -> SolveResult:
             for b in mine:
                 choice[b] = s
                 claimed[b] = True
-    return evaluate_assignment(instance, Assignment(tuple(choice)))
+    return evaluate_assignment(instance, choice)

@@ -140,13 +140,13 @@ def _print_result(instance: Instance, result: SolveResult) -> None:
     print(f"cost {result.total_cost}")
     print(f"discount {result.total_discount}")
     books_at: dict[int, list[int]] = {}
-    for b, shop in enumerate(result.assignment.choice):
+    for b, shop in enumerate(result.choice):
         books_at.setdefault(shop, []).append(b)
     for s, books in sorted(books_at.items()):
         spend = result.per_shop_spend[s]
         earned = discount_earned(instance.rules[s], spend)
-        names = " ".join(instance.book_name(b) for b in books)
-        print(f"shop {instance.shop_name(s)}: {names} (spend {spend}, discount {earned})")
+        names = " ".join(f"b{b + 1}" for b in books)
+        print(f"shop s{s + 1}: {names} (spend {spend}, discount {earned})")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -216,7 +216,7 @@ def _random(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
         fixed_prices=args.fixed_prices,
         seed=args.seed,
     )
-    return GeneratedInstance(instance, None, None), [f"seed: {args.seed}"]
+    return GeneratedInstance(instance), [f"seed: {args.seed}"]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

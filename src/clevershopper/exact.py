@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from .errors import InputError, NegativeValue, ResourceLimitError
 from .matching import WeightedEdge, WeightedGraph, max_weight_matching
 from .model import (
-    Assignment,
     Instance,
     SolveResult,
     cheapest_plan,
@@ -90,12 +89,13 @@ def _claimed_plan(
     """The cheapest plan with each claimed ``(book, shop)`` bought there.
 
     ``saving`` is what the claims save against every book at its cheapest
-    shop; the priced plan must cost exactly that much less.
+    shop.  ``evaluate_assignment`` checks and prices the plan, which must
+    cost exactly ``saving`` less.
     """
     choice = cheapest_plan(instance)
     for b, s in claims:
         choice[b] = s
-    result = evaluate_assignment(instance, Assignment(tuple(choice)))
+    result = evaluate_assignment(instance, choice)
     assert result.total_cost == sum(price for _, price in instance.cheapest) - saving
     return result
 
@@ -181,7 +181,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     shops = range(m)
     discount = [rule.discount for rule in instance.rules]
 
-    bound = evaluate_assignment(instance, Assignment(tuple(cheapest_plan(instance)))).total_cost
+    bound = evaluate_assignment(instance, cheapest_plan(instance)).total_cost
     if budget is not None:
         bound = min(bound, budget)
     # rest[i] = R_i; need[i][s] = t_s - A_si, the spend at shop s after
@@ -342,7 +342,7 @@ def max_fstar_subgraph(instance: Instance, bound: StarDegreeBound) -> tuple[tupl
         raise InputError(f"need {m} shop caps, got {len(caps)}")
     for s, cap in enumerate(caps):
         if cap < 0:
-            raise NegativeValue(f"cap of shop {s}", cap)
+            raise NegativeValue(f"cap of shop s{s + 1}", cap)
     n = instance.num_books
     shops_of = [[s for s, _ in instance.offers_by_book[b] if caps[s]] for b in range(n)]
     holders: list[list[int]] = [[] for _ in range(m)]  # per shop, book in each held slot

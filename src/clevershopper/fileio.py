@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DanglingIndex, InputError, ParseError
-from .model import Assignment, Instance, SolveResult, evaluate_assignment, make_instance
+from .errors import DanglingIndex, ParseError
+from .model import Instance, SolveResult, evaluate_assignment, make_instance
 from .sources import CnfFormula, SimpleGraph
 
 
@@ -158,10 +158,7 @@ def parse_solution(text: str) -> tuple[dict[int, int], int]:
 
 
 def serialize_solution(result: SolveResult) -> str:
-    out = [
-        f"ASSIGN {b + 1} {s + 1}"
-        for b, s in enumerate(result.assignment.choice)
-    ]
+    out = [f"ASSIGN {b + 1} {s + 1}" for b, s in enumerate(result.choice)]
     out.append(f"COST {result.total_cost}")
     return "\n".join(out) + "\n"
 
@@ -186,12 +183,12 @@ def check_solution(instance: Instance, text: str, budget: int | None = None) -> 
     for book in assigns:
         if book >= instance.num_books:
             raise DanglingIndex("book", book, instance.num_books)
+    # The books assigned without a gap from b1; ``evaluate_assignment``
+    # names the first one missing.
     choice = []
-    for book in range(instance.num_books):
-        if book not in assigns:
-            raise InputError(f"the solution assigns book b{book + 1} to no shop")
-        choice.append(assigns[book])
-    result = evaluate_assignment(instance, Assignment(tuple(choice)))
+    while len(choice) in assigns:
+        choice.append(assigns[len(choice)])
+    result = evaluate_assignment(instance, choice)
     if budget is None:
         budget = instance.budget
     return CheckReport(

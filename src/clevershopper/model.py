@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DanglingIndex, InputError, NegativeValue
 
@@ -86,30 +86,18 @@ class Instance:
             per_shop[o.shop].append(o.book)
         return tuple(tuple(sorted(books)) for books in per_shop)
 
-    def book_name(self, book: int) -> str:
-        return f"b{book + 1}"
-
-    def shop_name(self, shop: int) -> str:
-        return f"s{shop + 1}"
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A total choice of one shop per book; ``choice[b]`` is the shop for b."""
-
-    choice: tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class SolveResult:
     """An evaluated assignment.
 
-    ``per_shop_spend`` maps every shop (including unused ones) to its
-    pre-discount spend; ``total_discount`` is the sum of earned discounts and
-    ``total_cost`` the discounted grand total.
+    ``choice[b]`` is the shop book b is bought at; ``per_shop_spend`` maps
+    every shop (including unused ones) to its pre-discount spend;
+    ``total_discount`` is the sum of earned discounts and ``total_cost`` the
+    discounted grand total.
     """
 
-    assignment: Assignment
+    choice: tuple[int, ...]
     total_cost: int
     total_discount: int
     per_shop_spend: dict[int, int]
@@ -127,9 +115,9 @@ def validate_instance(instance: Instance) -> Instance:
         raise NegativeValue("budget", instance.budget)
     for s, rule in enumerate(instance.rules):
         if rule.discount < 0:
-            raise NegativeValue(f"discount of shop {s}", rule.discount)
+            raise NegativeValue(f"discount of shop s{s + 1}", rule.discount)
         if rule.threshold < 0:
-            raise NegativeValue(f"threshold of shop {s}", rule.threshold)
+            raise NegativeValue(f"threshold of shop s{s + 1}", rule.threshold)
     seen: set[tuple[int, int]] = set()
     for o in instance.offers:
         if not 0 <= o.book < instance.num_books:
@@ -137,7 +125,7 @@ def validate_instance(instance: Instance) -> Instance:
         if not 0 <= o.shop < instance.num_shops:
             raise DanglingIndex("shop", o.shop, instance.num_shops)
         if o.price < 0:
-            raise NegativeValue(f"price of book {o.book} at shop {o.shop}", o.price)
+            raise NegativeValue(f"price of book b{o.book + 1} at shop s{o.shop + 1}", o.price)
         if (o.book, o.shop) in seen:
             raise InputError(f"duplicate offer for book b{o.book + 1} at shop s{o.shop + 1}")
         seen.add((o.book, o.shop))
@@ -169,13 +157,16 @@ def fixed_prices(instance: Instance) -> list[int]:
     return [price for _, price in instance.cheapest]
 
 
-def evaluate_assignment(instance: Instance, assignment: Assignment) -> SolveResult:
-    """Price an assignment: spends, earned discounts, and total cost.
+def evaluate_assignment(instance: Instance, choice: Sequence[int]) -> SolveResult:
+    """Price a choice of one shop per book: spends, earned discounts, and
+    total cost.
 
-    Discounts are evaluated for every shop, so shops with threshold 0
-    contribute even when nothing is bought there.
+    ``choice[b]`` is the shop for book b; the result holds it as a tuple.
+    This is where every plan is checked to name one offered shop for each
+    book.  Discounts are evaluated for every shop, so shops with threshold
+    0 contribute even when nothing is bought there.
     """
-    choice = assignment.choice
+    choice = tuple(choice)
     if len(choice) < instance.num_books:
         raise InputError(f"the solution assigns book b{len(choice) + 1} to no shop")
     if len(choice) > instance.num_books:
@@ -194,7 +185,7 @@ def evaluate_assignment(instance: Instance, assignment: Assignment) -> SolveResu
         discount_earned(rule, spends[s]) for s, rule in enumerate(instance.rules)
     )
     return SolveResult(
-        assignment=assignment,
+        choice=choice,
         total_cost=gross - total_discount,
         total_discount=total_discount,
         per_shop_spend=spends,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import prod
 
 from .errors import ResourceLimitError
-from .model import Assignment, Instance, SolveResult, evaluate_assignment
+from .model import Instance, SolveResult, evaluate_assignment
 
 SEARCH_CAP = 10_000_000  # most assignments brute_force_min_cost enumerates
 
@@ -66,5 +66,5 @@ def brute_force_min_cost(instance: Instance) -> SolveResult:
         else:
             break
     choice = tuple(per_book[b][i][0] for b, i in enumerate(best_pick))
-    return evaluate_assignment(instance, Assignment(choice))
+    return evaluate_assignment(instance, choice)
 

@@ -1,7 +1,7 @@
 """Instance generators: reductions from classic problems, plus random.
 
 Each reduction returns a :class:`GeneratedInstance` bundling the shopping
-instance with the budget encoding the source question and the expected
+instance, whose budget encodes the source question, with the expected
 answer when the source instance is small enough to decide directly.
 Generators refuse a request for more than ``MAX_OFFERS`` offers before
 they build any of it.
@@ -42,17 +42,20 @@ MAX_OFFERS = 1_000_000
 class GeneratedInstance:
     """A generated instance plus ground truth about it.
 
-    ``expected_answer`` is the yes/no answer to "is a total cost of at
-    most ``target_budget`` achievable", or None when the generator did
-    not decide it.  ``expected_discount`` is only set by generators whose
-    source problem is an optimization (currently the clause-satisfaction
-    one).
+    ``target_budget`` is the instance's own budget.  ``expected_answer``
+    is the yes/no answer to "is a total cost of at most ``target_budget``
+    achievable", or None when the generator did not decide it.
+    ``expected_discount`` is only set by generators whose source problem
+    is an optimization (currently the clause-satisfaction one).
     """
 
     instance: Instance
-    target_budget: int | None
-    expected_answer: bool | None
+    expected_answer: bool | None = None
     expected_discount: int | None = None
+
+    @property
+    def target_budget(self) -> int | None:
+        return self.instance.budget
 
 
 def check_offer_count(count: int, what: str) -> None:
@@ -86,10 +89,8 @@ def from_partition(weights: tuple[int, ...]) -> GeneratedInstance:
     half = (total + 1) // 2
     rules = [(1, half), (1, half)]
     offers = [(b, s, w) for b, w in enumerate(weights) for s in (0, 1)]
-    budget = total - 2
     expected = has_balanced_partition(weights) if total <= PARTITION_DECIDE_CAP else None
-    inst = make_instance(len(weights), rules, offers, budget)
-    return GeneratedInstance(inst, budget, expected)
+    return GeneratedInstance(make_instance(len(weights), rules, offers, total - 2), expected)
 
 
 def from_bin_packing(weights: tuple[int, ...], bins: int, capacity: int) -> GeneratedInstance:
@@ -112,14 +113,12 @@ def from_bin_packing(weights: tuple[int, ...], bins: int, capacity: int) -> Gene
     check_offer_count(len(weights) * bins, f"{len(weights)} items in {bins} bins")
     rules = [(1, capacity)] * bins
     offers = [(b, s, w) for b, w in enumerate(weights) for s in range(bins)]
-    budget = total - bins
     expected = (
         can_pack_bins(weights, bins, capacity)
         if len(weights) <= BIN_PACKING_DECIDE_CAP
         else None
     )
-    inst = make_instance(len(weights), rules, offers, budget)
-    return GeneratedInstance(inst, budget, expected)
+    return GeneratedInstance(make_instance(len(weights), rules, offers, total - bins), expected)
 
 
 def from_perfect_code(graph: SimpleGraph, k: int) -> GeneratedInstance:
@@ -144,10 +143,8 @@ def from_perfect_code(graph: SimpleGraph, k: int) -> GeneratedInstance:
     offers = [
         (b, v, 1) for v in range(n) for b in sorted(graph.closed_neighborhoods[v])
     ]
-    budget = n - k
     expected = has_neighborhood_packing(graph, k) if n <= PERFECT_CODE_DECIDE_CAP else None
-    inst = make_instance(n, rules, offers, budget)
-    return GeneratedInstance(inst, budget, expected)
+    return GeneratedInstance(make_instance(n, rules, offers, n - k), expected)
 
 
 def x3c_or_composition(
@@ -219,13 +216,12 @@ def x3c_or_composition(
         rules.append((len(books), len(books) * price))
         offers += [(b, shop, price) for b in books]
 
-    budget = t_const * num_books
     if all(c.num_items <= X3C_DECIDE_CAP for c in components):
         expected = any(x3c_solvable(c) for c in components)
     else:
         expected = None
-    inst = make_instance(num_books, rules, offers, budget)
-    return GeneratedInstance(inst, budget, expected)
+    inst = make_instance(num_books, rules, offers, t_const * num_books)
+    return GeneratedInstance(inst, expected)
 
 
 def from_max3sat(cnf: CnfFormula) -> GeneratedInstance:
@@ -289,8 +285,8 @@ def from_max3sat(cnf: CnfFormula) -> GeneratedInstance:
         expected_discount = 2 * num_vars + max_satisfied_clauses(cnf)
     else:
         expected_discount = None
-    inst = make_instance(3 * m + num_vars, rules, offers, None)
-    return GeneratedInstance(inst, None, None, expected_discount=expected_discount)
+    inst = make_instance(3 * m + num_vars, rules, offers)
+    return GeneratedInstance(inst, expected_discount=expected_discount)
 
 
 def random_x3c(num_items: int, seed: int = 0) -> X3CInstance:

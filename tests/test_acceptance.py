@@ -124,7 +124,7 @@ def test_exact_solvers_match_oracle_sweeps():
             result = price_vector_dp(inst, k)
             assert (result is not None) == (opt <= k)
             if result is not None:
-                got = evaluate_assignment(inst, result.assignment)
+                got = evaluate_assignment(inst, result.choice)
                 assert got.total_cost == result.total_cost <= k
 
     assert time.perf_counter() - start < 120.0
@@ -231,7 +231,7 @@ def test_greedy_ratio_bound_fixed_price():
                 seed=rng.randint(0, 10**6),
             )
             greedy = greedy_max_discount(inst)
-            replayed = evaluate_assignment(inst, greedy.assignment)
+            replayed = evaluate_assignment(inst, greedy.choice)
             assert replayed == greedy  # valid choice, discounts really earned
             optimum = brute_force_min_cost(inst).total_discount
             assert k * greedy.total_discount >= optimum
@@ -281,7 +281,7 @@ def test_performance_floor():
     start = time.perf_counter()
     result = subset_dp_min_cost(inst)
     assert time.perf_counter() - start < 5.0
-    assert evaluate_assignment(inst, result.assignment).total_cost == result.total_cost
+    assert evaluate_assignment(inst, result.choice).total_cost == result.total_cost
 
     weights = (83, 97, 61, 59, 151, 149, 200, 200, 250, 250, 240, 260)
     assert sum(weights) == 2000

@@ -36,7 +36,7 @@ class TestGreedy:
         inst = make_instance(1, [(5, 0), (1, 2)], [(0, 1, 2)])
         result = greedy_max_discount(inst)
         assert result.total_discount == 6
-        assert result.assignment.choice == (1,)
+        assert result.choice == (1,)
 
     def test_gadget_value_fixed_by_tie_breaks(self, twice_cnf):
         gen = from_max3sat(twice_cnf)
@@ -60,7 +60,7 @@ class TestGreedy:
             [(0, 0, 2), (0, 1, 2), (1, 1, 2)],
         )
         result = greedy_max_discount(inst)
-        assert result.assignment.choice == (1, 1)
+        assert result.choice == (1, 1)
         assert result.total_discount == 9
 
     def test_claimed_shops_meet_thresholds(self):
@@ -72,7 +72,7 @@ class TestGreedy:
                 n, m, max_price=5, fixed_prices=True, seed=rng.randint(0, 10**6)
             )
             result = greedy_max_discount(inst)
-            assert evaluate_assignment(inst, result.assignment) == result
+            assert evaluate_assignment(inst, result.choice) == result
             # every earned discount really clears its threshold
             for s, rule in enumerate(inst.rules):
                 spend = result.per_shop_spend[s]

@@ -582,6 +582,24 @@ class TestCheck:
         assert "the solution assigns book b2 to no shop" in err
 
     @pytest.mark.parametrize(
+        "line, book",
+        [("ASSIGN 1 1\n", "b1"), ("ASSIGN 2 3\n", "b2")],
+        ids=["first", "middle"],
+    )
+    def test_missing_book_named_exactly(self, capsys, tmp_path, five_books_path, line, book):
+        sol = self.make_pair(capsys, tmp_path, five_books_path)
+        text = sol.read_text()
+        assert line in text
+        sol.write_text(text.replace(line, ""))
+        code, out, err = run_cli(
+            capsys, "check", "--input", str(five_books_path),
+            "--solution", str(sol),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the solution assigns book {book} to no shop\n"
+
+    @pytest.mark.parametrize(
         "old, new, message",
         [
             ("COST 34", "ASSIGN 6 1\nCOST 34", "book b6 out of range (have 5)"),

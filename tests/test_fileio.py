@@ -149,7 +149,7 @@ class TestSolutionFiles:
         text = serialize_solution(result)
         assigns, declared = parse_solution(text)
         assert declared == 34
-        assert assigns == {b: s for b, s in enumerate(result.assignment.choice)}
+        assert assigns == {b: s for b, s in enumerate(result.choice)}
 
     def test_serialized_shape(self, five_books):
         text = serialize_solution(brute_force_min_cost(five_books))

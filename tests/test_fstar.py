@@ -53,6 +53,17 @@ class TestStarSubgraph:
         with pytest.raises(NegativeValue):
             max_fstar_subgraph(inst, StarDegreeBound((-1, 0)))
 
+    @pytest.mark.parametrize(
+        "caps, message",
+        [((-1, 0), "cap of shop s1 must be non-negative, got -1"),
+         ((1, -3), "cap of shop s2 must be non-negative, got -3")],
+        ids=["s1", "s2"],
+    )
+    def test_negative_capacity_names_shop_from_one(self, caps, message):
+        inst = unit_instance(2, 1, [(0, 0), (1, 0)])
+        with pytest.raises(NegativeValue, match=f"^{message}$"):
+            max_fstar_subgraph(inst, StarDegreeBound(caps))
+
     def test_books_never_shared(self):
         inst = unit_instance(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         got = max_fstar_subgraph(inst, StarDegreeBound((2, 2, 0)))
@@ -77,7 +88,7 @@ class TestUnitPriceSolver:
         gen = from_perfect_code(code_graph, 2)
         result = fstar_unit_price_min_cost(gen.instance)
         assert result.total_cost == 3
-        assert result.assignment.choice == (0, 0, 0, 4, 4)
+        assert result.choice == (0, 0, 0, 4, 4)
 
     def test_zero_discounts_mean_full_price(self):
         inst = unit_instance(4, 2, [(0, 0), (1, 0), (2, 1), (3, 1)])
@@ -103,7 +114,7 @@ class TestUnitPriceSolver:
         )
         result = fstar_unit_price_min_cost(inst)
         assert result.total_cost == 1
-        assert result.assignment.choice == (0, 0)
+        assert result.choice == (0, 0)
 
     def test_zero_threshold_discounts(self):
         # a threshold-0 shop contributes even when unused
@@ -127,4 +138,4 @@ class TestUnitPriceSolver:
             )
             got = fstar_unit_price_min_cost(inst)
             assert got.total_cost == brute_force_min_cost(inst).total_cost
-            assert evaluate_assignment(inst, got.assignment) == got
+            assert evaluate_assignment(inst, got.choice) == got

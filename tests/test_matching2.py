@@ -72,7 +72,7 @@ class TestMatching2:
     def test_five_books(self, five_books):
         result = matching2_min_cost(five_books)
         assert result.total_cost == 34
-        assert result.assignment.choice == (0, 2, 3, 3, 4)
+        assert result.choice == (0, 2, 3, 3, 4)
 
     def test_degree_three_rejected(self):
         inst = make_instance(3, [(1, 1)], [(b, 0, 1) for b in range(3)])
@@ -135,4 +135,4 @@ class TestMatching2:
             )
             got = matching2_min_cost(inst)
             assert got.total_cost == brute_force_min_cost(inst).total_cost
-            assert evaluate_assignment(inst, got.assignment) == got
+            assert evaluate_assignment(inst, got.choice) == got

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clevershopper import (
-    Assignment,
     DanglingIndex,
     DiscountRule,
     InputError,
@@ -79,6 +78,22 @@ class TestValidation:
         with pytest.raises(NegativeValue):
             make_instance(1, rules, offers)
 
+    @pytest.mark.parametrize(
+        "rules, offers, message",
+        [
+            ([(-1, 1)], [(0, 0, 5), (1, 0, 5)],
+             "discount of shop s1 must be non-negative, got -1"),
+            ([(1, -1)], [(0, 0, 5), (1, 0, 5)],
+             "threshold of shop s1 must be non-negative, got -1"),
+            ([(1, 1)], [(0, 0, 5), (1, 0, -2)],
+             "price of book b2 at shop s1 must be non-negative, got -2"),
+        ],
+        ids=["discount", "threshold", "price"],
+    )
+    def test_negative_value_names_book_and_shop_from_one(self, rules, offers, message):
+        with pytest.raises(NegativeValue, match=f"^{message}$"):
+            make_instance(2, rules, offers)
+
     def test_negative_budget(self):
         with pytest.raises(NegativeValue):
             make_instance(1, [(1, 1)], [(0, 0, 5)], budget=-1)
@@ -107,49 +122,50 @@ class TestAccessors:
         assert shops == sorted(shops)
         assert five_books.offers_by_book[2] == ((1, 7), (2, 4), (3, 5), (4, 8))
 
-    def test_default_names(self, five_books):
-        assert five_books.book_name(0) == "b1"
-        assert five_books.shop_name(4) == "s5"
-
 
 class TestEvaluate:
     def test_five_books_best_plan(self, five_books):
-        result = evaluate_assignment(five_books, Assignment((0, 2, 3, 3, 4)))
+        result = evaluate_assignment(five_books, (0, 2, 3, 3, 4))
         assert result.total_cost == 34
         assert result.total_discount == 9  # three shops at 3 each
         assert result.per_shop_spend == {0: 12, 1: 0, 2: 11, 3: 13, 4: 7}
 
     def test_no_discount_when_thresholds_unreachable(self):
         inst = make_instance(2, [(5, 100)], [(0, 0, 3), (1, 0, 4)])
-        result = evaluate_assignment(inst, Assignment((0, 0)))
+        result = evaluate_assignment(inst, (0, 0))
         assert result.total_cost == 7
         assert result.total_discount == 0
 
     def test_offer_missing(self, five_books):
         with pytest.raises(InputError, match="no offer for book b1 at shop s2"):
-            evaluate_assignment(five_books, Assignment((1, 0, 1, 3, 4)))
+            evaluate_assignment(five_books, (1, 0, 1, 3, 4))
 
     def test_short_choice_rejected(self, five_books):
         with pytest.raises(InputError, match="the solution assigns book b3 to no shop"):
-            evaluate_assignment(five_books, Assignment((0, 0)))
+            evaluate_assignment(five_books, (0, 0))
+
+    def test_any_sequence_is_held_as_a_tuple(self, five_books):
+        result = evaluate_assignment(five_books, [0, 2, 3, 3, 4])
+        assert result == evaluate_assignment(five_books, (0, 2, 3, 3, 4))
+        assert result.choice == (0, 2, 3, 3, 4)  # a list would compare unequal
 
     def test_long_choice_rejected(self, five_books):
         with pytest.raises(DanglingIndex):
-            evaluate_assignment(five_books, Assignment((0, 2, 3, 3, 4, 4)))
+            evaluate_assignment(five_books, (0, 2, 3, 3, 4, 4))
 
     def test_matches_independent_evaluator(self, five_books):
         for choice in [(0, 0, 1, 3, 4), (0, 1, 2, 3, 4), (0, 2, 4, 3, 4)]:
-            result = evaluate_assignment(five_books, Assignment(choice))
+            result = evaluate_assignment(five_books, choice)
             assert result.total_cost == bruteforce.assignment_cost(five_books, choice)
 
     def test_cost_never_exceeds_gross(self, five_books):
-        result = evaluate_assignment(five_books, Assignment((0, 1, 1, 3, 4)))
+        result = evaluate_assignment(five_books, (0, 1, 1, 3, 4))
         gross = sum(five_books.price[(b, s)] for b, s in enumerate((0, 1, 1, 3, 4)))
         assert result.total_cost <= gross
         assert (result.total_cost == gross) == (result.total_discount == 0)
 
     def test_min_price_plan_is_upper_bound(self, five_books):
         choice = tuple(shop for shop, _ in five_books.cheapest)
-        result = evaluate_assignment(five_books, Assignment(choice))
+        result = evaluate_assignment(five_books, choice)
         bound = sum(price for _, price in five_books.cheapest)
         assert result.total_cost <= bound

@@ -20,7 +20,7 @@ class TestMinCost:
         result = brute_force_min_cost(five_books)
         assert result.total_cost == 34
         assert result.total_discount == 9
-        assert result.assignment.choice == (0, 2, 3, 3, 4)
+        assert result.choice == (0, 2, 3, 3, 4)
 
     def test_single_offer_threshold_met(self):
         inst = make_instance(1, [(1, 5)], [(0, 0, 5)])
@@ -30,7 +30,7 @@ class TestMinCost:
         # both shops identical; (0, 0) is the smallest optimal choice
         inst = make_instance(2, [(0, 99), (0, 99)],
                              [(0, 0, 5), (0, 1, 5), (1, 0, 5), (1, 1, 5)])
-        assert brute_force_min_cost(inst).assignment.choice == (0, 0)
+        assert brute_force_min_cost(inst).choice == (0, 0)
 
     def test_search_cap(self):
         # 2^24 assignments, over the cap: refused before enumerating any
@@ -54,7 +54,7 @@ class TestMinCost:
         result = brute_force_min_cost(inst)
         assert result.total_cost == bruteforce.enumerate_min_cost(inst)
         # reported numbers must re-evaluate to themselves
-        again = evaluate_assignment(inst, result.assignment)
+        again = evaluate_assignment(inst, result.choice)
         assert again == result
 
     def test_never_beaten_by_sampled_assignments(self):

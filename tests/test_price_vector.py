@@ -54,7 +54,7 @@ class TestDecision:
             opt = brute_force_min_cost(inst).total_cost
             result = price_vector_dp(inst, opt)
             assert result is not None
-            assert evaluate_assignment(inst, result.assignment) == result
+            assert evaluate_assignment(inst, result.choice) == result
             assert result.total_cost <= opt
 
     def test_full_budget_sweep_matches_oracle(self):
@@ -130,11 +130,11 @@ class TestOptimization:
             [(0, 99), (0, 99)],
             [(0, 0, 5), (0, 1, 5), (1, 0, 5), (1, 1, 5)],
         )
-        assert price_vector_min_cost(inst).assignment.choice == (1, 1)
+        assert price_vector_min_cost(inst).choice == (1, 1)
 
     def test_deterministic(self):
         for seed in range(10):
             inst = random_instance(5, 3, max_price=6, seed=seed)
             first = price_vector_min_cost(inst)
             assert price_vector_min_cost(inst) == first
-            assert evaluate_assignment(inst, first.assignment) == first
+            assert evaluate_assignment(inst, first.choice) == first

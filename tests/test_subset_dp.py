@@ -24,7 +24,7 @@ class TestSubsetDp:
     def test_five_books(self, five_books):
         result = subset_dp_min_cost(five_books)
         assert result.total_cost == 34
-        assert evaluate_assignment(five_books, result.assignment) == result
+        assert evaluate_assignment(five_books, result.choice) == result
 
     def test_one_book_picks_better_discounted_shop(self):
         # 5-1=4 at the first shop vs 6-3=3 at the second
@@ -36,7 +36,7 @@ class TestSubsetDp:
         inst = make_instance(1, [(0, 9), (2, 0)], [(0, 0, 5), (0, 1, 9)])
         result = subset_dp_min_cost(inst)
         assert result.total_cost == 3  # buy at shop 0 for 5, still save 2
-        assert result.assignment.choice == (0,)
+        assert result.choice == (0,)
 
     def test_all_books_one_shop(self):
         inst = make_instance(3, [(4, 10)], [(b, 0, 4) for b in range(3)])
@@ -79,7 +79,7 @@ class TestSubsetDp:
         want = brute_force_min_cost(inst)
         got = subset_dp_min_cost(inst)
         assert got.total_cost == want.total_cost
-        assert evaluate_assignment(inst, got.assignment) == got
+        assert evaluate_assignment(inst, got.choice) == got
 
     def test_matches_oracle_with_zero_thresholds(self):
         from clevershopper import DiscountModel
@@ -116,7 +116,7 @@ class TestSubsetDp:
             )
             got = subset_dp_min_cost(inst)
             assert got.total_cost == brute_force_min_cost(inst).total_cost
-            assert evaluate_assignment(inst, got.assignment) == got
+            assert evaluate_assignment(inst, got.choice) == got
 
     def test_documented_cap_is_fast(self):
         inst = random_instance(
