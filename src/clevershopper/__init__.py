@@ -40,7 +40,7 @@ from .fileio import (
     serialize_instance,
     serialize_solution,
 )
-from .matching import WeightedEdge, WeightedGraph, matching_weight, max_weight_matching
+from .matching import WeightedEdge, WeightedGraph, max_weight_matching
 from .model import (
     DiscountRule,
     Instance,
@@ -49,7 +49,6 @@ from .model import (
     discount_earned,
     evaluate_assignment,
     make_instance,
-    validate_instance,
 )
 from .oracle import brute_force_min_cost
 from .reductions import (
@@ -114,7 +113,6 @@ __all__ = [
     "has_neighborhood_packing",
     "make_instance",
     "matching2_min_cost",
-    "matching_weight",
     "max_fstar_subgraph",
     "max_satisfied_clauses",
     "max_weight_matching",
@@ -132,7 +130,6 @@ __all__ = [
     "serialize_instance",
     "serialize_solution",
     "subset_dp_min_cost",
-    "validate_instance",
     "x3c_or_composition",
     "x3c_solvable",
 ]

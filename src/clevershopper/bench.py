@@ -7,7 +7,6 @@ down.  Results are plain dicts ready for JSON.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from multiprocessing import Pipe, Process
@@ -113,7 +112,3 @@ def run_bench(
             if record["status"] == "ok":
                 record["gap"] = record["cost"] - reference["cost"]
     return {"timeout_seconds": timeout, "algorithms": list(algos), "results": records}
-
-
-def write_report(report: dict, path: Path) -> None:
-    path.write_text(json.dumps(report, indent=2) + "\n")

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from pathlib import Path
 
-from .bench import ALGORITHM_NAMES, run_algorithm, run_bench, write_report
+from .bench import ALGORITHM_NAMES, run_algorithm, run_bench
 from .errors import EmptyInput, InputError, ResourceLimitError
 from .exact import price_vector_dp
 from .fileio import (
@@ -136,6 +137,13 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _print_result(instance: Instance, result: SolveResult) -> None:
     print(f"cost {result.total_cost}")
     print(f"discount {result.total_discount}")
@@ -231,7 +239,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             header.append(f"# expected discount: {gen.expected_discount}")
         text = "\n".join(header) + "\n" + text
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
         print(f"wrote {args.output}")
         if gen.target_budget is not None:
             print(f"budget {gen.target_budget}")
@@ -277,7 +285,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 parts.append(f"gap={record['gap']}")
         print("  ".join(parts))
     if args.report:
-        write_report(report, Path(args.report))
+        _write(args.report, json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.report}")
     return EXIT_OK
 

@@ -1,12 +1,13 @@
 """Exception types shared across the package.
 
 Two families matter to callers: ``InputError`` covers malformed or
-out-of-contract data (bad files, invalid instances, violated solver
-preconditions) and maps to CLI exit code 2, while ``ResourceLimitError``
-covers instances that exceed a solver's configured size caps and maps to
-CLI exit code 3.  Nothing in the package tells errors apart below these
-two, so a raise site uses a family directly, and a subclass exists only
-where several raise sites share its message format.
+out-of-contract data (bad files, input types such as ``Instance`` that
+fail their own checks when built, violated solver preconditions) and
+maps to CLI exit code 2, while ``ResourceLimitError`` covers instances
+that exceed a solver's configured size caps and maps to CLI exit code 3.
+Nothing in the package tells errors apart below these two, so a raise
+site uses a family directly, and a subclass exists only where several
+raise sites share its message format.
 
 Messages name books and shops as instance files and solve output do
 (``b1``, ``s1``: 1-based), while raise sites pass 0-based indices.

@@ -46,7 +46,7 @@ class WeightedGraph:
     num_vertices: int
     edges: tuple[WeightedEdge, ...]
 
-    def check(self) -> WeightedGraph:
+    def __post_init__(self) -> None:
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
             if e.u == e.v:
@@ -57,18 +57,11 @@ class WeightedGraph:
             if key in seen:
                 raise InputError(f"duplicate edge {key}")
             seen.add(key)
-        return self
-
-
-def matching_weight(graph: WeightedGraph, matched: frozenset[tuple[int, int]]) -> int:
-    """Sum of weights of the given matched edges (keys as (min, max) pairs)."""
-    by_pair = {(min(e.u, e.v), max(e.u, e.v)): e.weight for e in graph.edges}
-    return sum(by_pair[pair] for pair in matched)
 
 
 def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
-    """Matching of maximum total weight, as a set of (u, v) pairs with u < v."""
-    graph.check()
+    """Matching of maximum total weight, as a set of (u, v) pairs with u < v.
+    The graph rejected self-loops and repeated pairs when it was built."""
     edges = [(e.u, e.v, e.weight) for e in graph.edges]
     nedge = len(edges)
     nvertex = graph.num_vertices

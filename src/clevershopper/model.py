@@ -48,13 +48,41 @@ class Instance:
 
     ``rules[s]`` is the discount rule of shop ``s``; ``offers`` lists the
     available (book, shop, price) triples.  ``budget`` is the optional
-    decision target.
+    decision target.  Building one from invalid data raises ``InputError``,
+    so every instance a solver sees is valid.
     """
 
     num_books: int
     rules: tuple[DiscountRule, ...]
     offers: tuple[Offer, ...]
     budget: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.num_books < 0:
+            raise NegativeValue("book count", self.num_books)
+        if self.budget is not None and self.budget < 0:
+            raise NegativeValue("budget", self.budget)
+        for s, rule in enumerate(self.rules):
+            if rule.discount < 0:
+                raise NegativeValue(f"discount of shop s{s + 1}", rule.discount)
+            if rule.threshold < 0:
+                raise NegativeValue(f"threshold of shop s{s + 1}", rule.threshold)
+        seen: set[tuple[int, int]] = set()
+        for o in self.offers:
+            if not 0 <= o.book < self.num_books:
+                raise DanglingIndex("book", o.book, self.num_books)
+            if not 0 <= o.shop < self.num_shops:
+                raise DanglingIndex("shop", o.shop, self.num_shops)
+            if o.price < 0:
+                raise NegativeValue(f"price of book b{o.book + 1} at shop s{o.shop + 1}", o.price)
+            if (o.book, o.shop) in seen:
+                raise InputError(f"duplicate offer for book b{o.book + 1} at shop s{o.shop + 1}")
+            seen.add((o.book, o.shop))
+        covered = {o.book for o in self.offers}
+        if len(covered) < self.num_books:
+            # The first gap is among the first len(covered) + 1 books.
+            book = next(b for b in range(self.num_books) if b not in covered)
+            raise InputError(f"book b{book + 1} is offered by no shop")
 
     @property
     def num_shops(self) -> int:
@@ -101,40 +129,6 @@ class SolveResult:
     total_cost: int
     total_discount: int
     per_shop_spend: dict[int, int]
-
-
-def validate_instance(instance: Instance) -> Instance:
-    """Check structural invariants, returning the instance unchanged.
-
-    Raises ``InputError`` (``NegativeValue`` and ``DanglingIndex`` among
-    them).  Solvers assume a validated instance.
-    """
-    if instance.num_books < 0:
-        raise NegativeValue("book count", instance.num_books)
-    if instance.budget is not None and instance.budget < 0:
-        raise NegativeValue("budget", instance.budget)
-    for s, rule in enumerate(instance.rules):
-        if rule.discount < 0:
-            raise NegativeValue(f"discount of shop s{s + 1}", rule.discount)
-        if rule.threshold < 0:
-            raise NegativeValue(f"threshold of shop s{s + 1}", rule.threshold)
-    seen: set[tuple[int, int]] = set()
-    for o in instance.offers:
-        if not 0 <= o.book < instance.num_books:
-            raise DanglingIndex("book", o.book, instance.num_books)
-        if not 0 <= o.shop < instance.num_shops:
-            raise DanglingIndex("shop", o.shop, instance.num_shops)
-        if o.price < 0:
-            raise NegativeValue(f"price of book b{o.book + 1} at shop s{o.shop + 1}", o.price)
-        if (o.book, o.shop) in seen:
-            raise InputError(f"duplicate offer for book b{o.book + 1} at shop s{o.shop + 1}")
-        seen.add((o.book, o.shop))
-    covered = {o.book for o in instance.offers}
-    if len(covered) < instance.num_books:
-        # The first gap is among the first len(covered) + 1 books.
-        book = next(b for b in range(instance.num_books) if b not in covered)
-        raise InputError(f"book b{book + 1} is offered by no shop")
-    return instance
 
 
 def discount_earned(rule: DiscountRule, spend: int) -> int:
@@ -198,14 +192,13 @@ def make_instance(
     offers: Iterable[tuple[int, int, int]],
     budget: int | None = None,
 ) -> Instance:
-    """Convenience constructor from bare tuples, validated and canonical.
+    """Convenience constructor from bare tuples, in canonical order.
 
     Offers are stored sorted by (book, shop), the order the file format uses.
     """
-    inst = Instance(
+    return Instance(
         num_books=num_books,
         rules=tuple(DiscountRule(d, t) for d, t in rules),
         offers=tuple(sorted(Offer(b, s, p) for b, s, p in offers)),
         budget=budget,
     )
-    return validate_instance(inst)

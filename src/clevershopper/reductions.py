@@ -342,6 +342,16 @@ class DiscountModel:
     min_threshold: int = 1
     max_threshold: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_discount < 0:
+            raise NegativeValue("max discount", self.max_discount)
+        if self.min_threshold < 0:
+            raise NegativeValue("min threshold", self.min_threshold)
+        if self.max_threshold is not None and self.max_threshold < self.min_threshold:
+            raise InputError(
+                f"max threshold {self.max_threshold} is below min threshold {self.min_threshold}"
+            )
+
 
 def random_instance(
     num_books: int,

@@ -60,6 +60,15 @@ def enumerate_max_discount(instance: Instance) -> int:
     return best
 
 
+def matching_weight(graph, matched) -> int:
+    """Sum of the weights of the matched pairs, looked up in the graph's edges."""
+    weight = {}
+    for e in graph.edges:
+        weight[(e.u, e.v)] = e.weight
+        weight[(e.v, e.u)] = e.weight
+    return sum(weight[pair] for pair in matched)
+
+
 def dp_max_matching_weight(num_vertices: int, edges) -> int:
     """Max-weight matching by DP over vertex bitmasks; edges are (u, v, w)."""
     adjacency: dict[int, list[tuple[int, int]]] = {}

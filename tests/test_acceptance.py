@@ -28,7 +28,6 @@ from clevershopper import (
     greedy_max_discount,
     make_instance,
     matching2_min_cost,
-    matching_weight,
     max_fstar_subgraph,
     max_satisfied_clauses,
     max_weight_matching,
@@ -61,7 +60,7 @@ def test_worked_example_exact_solvers_and_matching_weight(five_books_path):
 
     graph = build_discount_graph(instance)
     matched = max_weight_matching(graph)
-    assert matching_weight(graph, matched) == 6
+    assert bruteforce.matching_weight(graph, matched) == 6
     assert time.perf_counter() - start < 1.0
 
 
@@ -252,7 +251,8 @@ def test_matching_and_star_subroutine_oracles():
         )
         graph = WeightedGraph(n, tuple(WeightedEdge(u, v, w) for u, v, w in edges))
         matched = max_weight_matching(graph)
-        assert matching_weight(graph, matched) == bruteforce.dp_max_matching_weight(n, edges)
+        expected = bruteforce.dp_max_matching_weight(n, edges)
+        assert bruteforce.matching_weight(graph, matched) == expected
 
     rng = random.Random(701)
     for _ in range(200):

@@ -368,6 +368,18 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().startswith("# family: random\n# seed: 5\n")
 
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "nodir" / "x.cshop"
+        code, out, err = run_cli(
+            capsys, "generate", "random", "--n", "3", "--m", "2", "--output", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: cannot write {target}: "
+            f"[Errno 2] No such file or directory: '{target}'\n"
+        )
+
     def test_random_respects_flags(self, capsys):
         code, out, _ = run_cli(
             capsys, "generate", "random", "--n", "6", "--m", "3",
@@ -561,16 +573,6 @@ class TestCheck:
         assert code == 0
         assert "budget 40 (within)" in out
 
-    def test_incomplete_solution(self, capsys, tmp_path, five_books_path):
-        sol = tmp_path / "short.sol"
-        sol.write_text("ASSIGN 1 1\nCOST 12\n")
-        code, _, err = run_cli(
-            capsys, "check", "--input", str(five_books_path),
-            "--solution", str(sol),
-        )
-        assert code == 2
-        assert "error:" in err
-
     def test_unassigned_book_blamed_on_solution(self, capsys, tmp_path, five_books_path):
         sol = tmp_path / "short.sol"
         sol.write_text("ASSIGN 1 1\nCOST 12\n")
@@ -652,6 +654,22 @@ class TestBench:
         assert report["algorithms"] == ["oracle", "subset-dp"]
         assert len(report["results"]) == 4
         assert all(r["status"] == "ok" for r in report["results"])
+
+    def test_unwritable_report_is_an_input_error(self, capsys, tmp_path, five_books_path):
+        bench_dir = tmp_path / "suite"
+        bench_dir.mkdir()
+        (bench_dir / "a.cshop").write_text(five_books_path.read_text())
+        target = tmp_path / "nodir" / "r.json"
+        code, out, err = run_cli(
+            capsys, "bench", "--dir", str(bench_dir), "--algos", "oracle",
+            "--report", str(target),
+        )
+        assert code == 2
+        assert "a.cshop  oracle  ok" in out
+        assert err == (
+            f"error: cannot write {target}: "
+            f"[Errno 2] No such file or directory: '{target}'\n"
+        )
 
     def test_empty_directory(self, capsys, tmp_path):
         empty = tmp_path / "none"

@@ -13,10 +13,11 @@ from clevershopper import (
     evaluate_assignment,
     make_instance,
     matching2_min_cost,
-    matching_weight,
     max_weight_matching,
     random_instance,
 )
+
+import bruteforce
 
 
 class TestDiscountGraph:
@@ -37,7 +38,7 @@ class TestDiscountGraph:
 
     def test_five_books_matching_weight(self, five_books):
         g = build_discount_graph(five_books)
-        assert matching_weight(g, max_weight_matching(g)) == 6
+        assert bruteforce.matching_weight(g, max_weight_matching(g)) == 6
 
     def test_negative_weight_pairs_dropped(self):
         # together the two books reach the threshold but the overpricing
@@ -98,7 +99,7 @@ class TestMatching2:
 
     def test_matching_duality(self, five_books):
         g = build_discount_graph(five_books)
-        weight = matching_weight(g, max_weight_matching(g))
+        weight = bruteforce.matching_weight(g, max_weight_matching(g))
         total = sum(price for _, price in five_books.cheapest)
         assert matching2_min_cost(five_books).total_cost == total - weight
 

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clevershopper import (
+    ALGORITHM_NAMES,
+    CleverShopperError,
     DanglingIndex,
     DiscountRule,
     InputError,
+    Instance,
     NegativeValue,
+    Offer,
     discount_earned,
     evaluate_assignment,
     make_instance,
-    validate_instance,
+    run_algorithm,
 )
 
 import bruteforce
@@ -42,7 +48,6 @@ class TestDiscountEarned:
 
 class TestValidation:
     def test_five_books_is_valid(self, five_books):
-        assert validate_instance(five_books) is five_books
         assert five_books.num_shops == 5
 
     def test_uncovered_book(self):
@@ -67,18 +72,6 @@ class TestValidation:
             make_instance(1, [(1, 1)], [(0, 2, 5)])
 
     @pytest.mark.parametrize(
-        "rules, offers",
-        [
-            ([(-1, 1)], [(0, 0, 5)]),
-            ([(1, -1)], [(0, 0, 5)]),
-            ([(1, 1)], [(0, 0, -5)]),
-        ],
-    )
-    def test_negative_values(self, rules, offers):
-        with pytest.raises(NegativeValue):
-            make_instance(1, rules, offers)
-
-    @pytest.mark.parametrize(
         "rules, offers, message",
         [
             ([(-1, 1)], [(0, 0, 5), (1, 0, 5)],
@@ -101,6 +94,67 @@ class TestValidation:
     def test_zero_price_allowed(self):
         inst = make_instance(1, [(1, 1)], [(0, 0, 0)])
         assert inst.price[(0, 0)] == 0
+
+    @pytest.mark.parametrize(
+        "num_books, offers, message",
+        [
+            (2, [(0, 0, 5)], "book b2 is offered by no shop"),
+            (1, [(0, 3, 5)], "shop s4 out of range (have 1)"),
+            (1, [(0, 0, -5)], "price of book b1 at shop s1 must be non-negative, got -5"),
+            (1, [(0, 0, 12), (0, 0, 10)], "duplicate offer for book b1 at shop s1"),
+        ],
+        ids=["uncovered", "dangling-shop", "negative-price", "duplicate"],
+    )
+    def test_direct_construction_checks_like_make_instance(self, num_books, offers, message):
+        pattern = f"^{re.escape(message)}$"
+        with pytest.raises(InputError, match=pattern):
+            make_instance(num_books, [(1, 1)], offers)
+        with pytest.raises(InputError, match=pattern):
+            Instance(num_books, (DiscountRule(1, 1),), tuple(Offer(*o) for o in offers))
+
+
+@st.composite
+def raw_instance_fields(draw):
+    """Small ``Instance`` fields, mostly valid, in which any index may be
+    out of range and any amount negative."""
+    money = st.sampled_from((0, 1, 2, 3, 4, 5, 6, 7, 8, -1))
+    num_shops = draw(st.integers(0, 3))
+    rules = draw(st.lists(st.tuples(money, money), min_size=num_shops, max_size=num_shops))
+    offered = draw(st.sampled_from((1, 2, 3, 0))) if num_shops else 0
+    offers = [
+        (book, shop, price)
+        for book in range(offered)
+        for shop, price in draw(
+            st.dictionaries(st.integers(0, num_shops - 1), money, min_size=1)
+        ).items()
+    ]
+    stray = st.tuples(st.integers(-1, offered), st.integers(-1, num_shops), money)
+    offers += draw(st.lists(stray, max_size=2))
+    num_books = offered + draw(st.sampled_from((0, 0, 1, -1)))
+    return num_books, rules, offers, draw(st.none() | money)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_instance_fields())
+def test_raw_instance_is_rejected_or_solved(fields):
+    """An instance either refuses to exist, or every solver prices its plan
+    as ``evaluate_assignment`` does or refuses with a package error."""
+    num_books, rules, offers, budget = fields
+    try:
+        instance = Instance(
+            num_books,
+            tuple(DiscountRule(d, t) for d, t in rules),
+            tuple(Offer(*o) for o in offers),
+            budget,
+        )
+    except InputError:
+        return
+    for algo in ALGORITHM_NAMES:
+        try:
+            result = run_algorithm(algo, instance)
+        except CleverShopperError:
+            continue
+        assert evaluate_assignment(instance, result.choice).total_cost == result.total_cost
 
 
 class TestAccessors:

@@ -6,6 +6,7 @@ import pytest
 
 from clevershopper import (
     CnfFormula,
+    DiscountModel,
     DiscountRule,
     EmptyInput,
     InputError,
@@ -20,7 +21,6 @@ from clevershopper import (
     random_instance,
     random_x3c,
     serialize_instance,
-    validate_instance,
     x3c_or_composition,
     x3c_solvable,
 )
@@ -310,12 +310,27 @@ class TestRandomInstance:
     def test_every_book_covered_and_valid(self):
         for seed in range(20):
             inst = random_instance(7, 4, max_price=9, seed=seed)
-            assert validate_instance(inst) is inst
             assert all(inst.offers_by_book[b] for b in range(7))
 
     def test_impossible_degree_cap_rejected(self):
         with pytest.raises(InputError, match="2 shops capped at 2 cannot cover 9 books"):
             random_instance(9, 2, shop_degree_cap=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ({"max_discount": -1}, NegativeValue,
+             "max discount must be non-negative, got -1"),
+            ({"min_threshold": -1}, NegativeValue,
+             "min threshold must be non-negative, got -1"),
+            ({"min_threshold": 5, "max_threshold": 2}, InputError,
+             "max threshold 2 is below min threshold 5"),
+        ],
+        ids=["max-discount", "min-threshold", "threshold-range"],
+    )
+    def test_discount_model_checks_its_fields(self, fields, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            random_instance(3, 2, discount_model=DiscountModel(**fields))
 
     def test_x3c_generator_is_valid_and_deterministic(self):
         for n in (6, 9):
