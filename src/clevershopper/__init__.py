@@ -30,7 +30,6 @@ from .exact import (
     subset_dp_min_cost,
 )
 from .fileio import (
-    CheckReport,
     check_solution,
     parse_dimacs,
     parse_graph,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHM_NAMES",
-    "CheckReport",
     "CleverShopperError",
     "CnfFormula",
     "DanglingIndex",

@@ -2,6 +2,10 @@
 
 Exit codes: 0 solved / feasible / check passed, 1 infeasible budget or
 failed check, 2 bad input, 3 solver size cap.
+
+``solve`` and ``check`` give a budget verdict against ``--budget`` if it
+is given, else the instance file's BUDGET line; the library functions
+they call take the budget they are given, or none.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .fileio import (
 from .model import Instance, SolveResult, discount_earned
 from .reductions import (
     GeneratedInstance,
-    check_offer_count,
+    check_x3c_offer_count,
     from_bin_packing,
     from_max3sat,
     from_partition,
@@ -157,9 +161,14 @@ def _print_result(instance: Instance, result: SolveResult) -> None:
         print(f"shop s{s + 1}: {names} (spend {spend}, discount {earned})")
 
 
+def _budget(args: argparse.Namespace, instance: Instance) -> int | None:
+    """``--budget`` if it was given, else the file's BUDGET line, else None."""
+    return args.budget if args.budget is not None else instance.budget
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.input))
-    budget = args.budget if args.budget is not None else instance.budget
+    budget = _budget(args, instance)
 
     if args.algo == "price-dp" and budget is not None:
         result = price_vector_dp(instance, budget)
@@ -201,9 +210,7 @@ def _perfectcode(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]
 
 
 def _x3c(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
-    # Each component has n sets, and each set shop sells at least its
-    # three item books.
-    check_offer_count(3 * args.n * args.m, f"{args.n} items in {args.m} components")
+    check_x3c_offer_count(args.n, args.m)
     components = tuple(random_x3c(args.n, args.seed + i) for i in range(args.m))
     gen = x3c_or_composition(components, args.t_const)
     return gen, [f"items: {args.n}", f"components: {args.m}", f"seed: {args.seed}"]
@@ -254,17 +261,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.input))
-    report = check_solution(instance, _read(args.solution), args.budget)
-    print(f"cost {report.result.total_cost}")
-    if report.cost_matches:
-        print(f"declared {report.declared_cost} (matches)")
-    else:
-        print(f"declared {report.declared_cost} (MISMATCH)")
-    if report.budget is not None:
-        verdict = "within" if report.within_budget else "over"
-        print(f"budget {report.budget} ({verdict})")
-    ok = report.cost_matches and report.within_budget is not False
-    return EXIT_OK if ok else EXIT_NO
+    result, declared = check_solution(instance, _read(args.solution))
+    budget = _budget(args, instance)
+    matches = declared == result.total_cost
+    within = budget is None or result.total_cost <= budget
+    print(f"cost {result.total_cost}")
+    print(f"declared {declared} ({'matches' if matches else 'MISMATCH'})")
+    if budget is not None:
+        print(f"budget {budget} ({'within' if within else 'over'})")
+    return EXIT_OK if matches and within else EXIT_NO
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

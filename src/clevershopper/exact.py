@@ -125,9 +125,6 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
         after = dict(best)
         back: dict[int, int] = {}
         room = MAX_STATES - pointers  # for this shop's states and back-pointers
-        # Every state new to ``after`` has a back-pointer, so the room can
-        # run out only once ``back`` holds more than half of what is left.
-        half = (room - len(best)) // 2
         for state, saving in best.items():
             for g, gain in sets:
                 if state & g:
@@ -136,7 +133,7 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
                 if saving + gain > after.get(new, 0):
                     after[new] = saving + gain
                     back[new] = state
-            if len(back) > half and len(after) + len(back) > room:
+            if len(after) + len(back) > room:
                 size = len(after) + len(back) + pointers
                 raise ResourceLimitError(f"reachable state count {size} exceeds cap {MAX_STATES}")
         best = after
@@ -204,6 +201,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         reach = need[b + 1]
         slack = bound - rest[b + 1]
         nxt: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {}
+        room = MAX_STATES - total  # for this layer's vectors
         for state in sorted(layers[-1]):
             # A successor's LB - R_(b+1) is base + the price of book b, less
             # the discount of its shop if that price lifts the spend there
@@ -222,9 +220,10 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
                 ns = state[:shop] + (spend + price,) + state[shop + 1 :]
                 if ns not in nxt:
                     nxt[ns] = (state, shop)
+            if len(nxt) > room:  # one state adds at most m vectors
+                size = total + len(nxt)
+                raise ResourceLimitError(f"reachable state count {size} exceeds cap {MAX_STATES}")
         total += len(nxt)
-        if total > MAX_STATES:
-            raise ResourceLimitError(f"reachable state count {total} exceeds cap {MAX_STATES}")
         layers.append(nxt)
 
     best = min(
@@ -244,16 +243,14 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     return _claimed_plan(instance, claims, rest[0] - best_cost)
 
 
-def price_vector_dp(instance: Instance, budget: int | None = None) -> SolveResult | None:
-    """Decide whether total cost ``budget`` (or the instance budget) is
-    achievable, by a DP over per-shop spend vectors, pruned by a lower
-    bound against the budget or the cheapest plan (``price_vector_min_cost``
-    with ``budget``).  Returns the witness on yes, which is the cheapest
-    plan that ``price_vector_min_cost`` returns, and None on no."""
-    if budget is None:
-        budget = instance.budget
-    if budget is None:
-        raise InputError("decision requires a budget")
+def price_vector_dp(instance: Instance, budget: int) -> SolveResult | None:
+    """``price_vector_min_cost`` with a budget: the cheapest plan if it
+    costs at most ``budget``, else None.
+
+    It is kept as a name of its own because the benchmark wraps
+    ``cli.price_vector_dp`` to time budget decisions, and its self-tests
+    need those timings on ``few-shops``; one solver registry retires it
+    (ROADMAP item 7)."""
     return price_vector_min_cost(instance, budget)
 
 

@@ -17,8 +17,6 @@ OFFER lines sorted by (book, shop), budget last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DanglingIndex, ParseError
 from .model import Instance, SolveResult, evaluate_assignment, make_instance
 from .sources import CnfFormula, SimpleGraph
@@ -163,22 +161,9 @@ def serialize_solution(result: SolveResult) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of verifying a solution file against an instance."""
-
-    result: SolveResult
-    declared_cost: int
-    cost_matches: bool
-    budget: int | None
-    within_budget: bool | None
-
-
-def check_solution(instance: Instance, text: str, budget: int | None = None) -> CheckReport:
-    """Re-price a solution file and compare with its declared cost.
-
-    The budget defaults to the instance's own.
-    """
+def check_solution(instance: Instance, text: str) -> tuple[SolveResult, int]:
+    """Re-price a solution file: returns the priced plan and the file's
+    declared cost.  Comparing the two, and with a budget, is the caller's."""
     assigns, declared = parse_solution(text)
     for book in assigns:
         if book >= instance.num_books:
@@ -188,16 +173,7 @@ def check_solution(instance: Instance, text: str, budget: int | None = None) -> 
     choice = []
     while len(choice) in assigns:
         choice.append(assigns[len(choice)])
-    result = evaluate_assignment(instance, choice)
-    if budget is None:
-        budget = instance.budget
-    return CheckReport(
-        result=result,
-        declared_cost=declared,
-        cost_matches=declared == result.total_cost,
-        budget=budget,
-        within_budget=None if budget is None else result.total_cost <= budget,
-    )
+    return evaluate_assignment(instance, choice), declared
 
 
 def parse_graph(text: str) -> SimpleGraph:

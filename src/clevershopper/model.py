@@ -60,8 +60,6 @@ class Instance:
     def __post_init__(self) -> None:
         if self.num_books < 0:
             raise NegativeValue("book count", self.num_books)
-        if self.budget is not None and self.budget < 0:
-            raise NegativeValue("budget", self.budget)
         for s, rule in enumerate(self.rules):
             if rule.discount < 0:
                 raise NegativeValue(f"discount of shop s{s + 1}", rule.discount)

@@ -66,6 +66,22 @@ def check_offer_count(count: int, what: str) -> None:
         )
 
 
+def check_x3c_offer_count(num_items: int, num_components: int) -> None:
+    """Refuse an or-composition of ``num_components`` components of
+    ``num_items`` items that needs more than ``MAX_OFFERS`` offers.
+
+    Each component has one shop per 3-set (as many as items), selling the
+    set's three item books and three identifier books per identifier
+    bit; each of the two selector shops per bit sells ``num_items`` books.
+    """
+    # No components means nothing to build; the composition says so.
+    bits = max(num_components - 1, 0).bit_length()
+    check_offer_count(
+        num_components * num_items * 3 * (1 + bits) + 2 * bits * num_items,
+        f"{num_items} items in {num_components} components",
+    )
+
+
 def _check_weights(weights: tuple[int, ...]) -> None:
     if not weights:
         raise EmptyInput("weight list")
@@ -172,6 +188,7 @@ def x3c_or_composition(
     n = counts[0]
     if n == 0:
         raise EmptyInput("component items")
+    check_x3c_offer_count(n, len(components))
     for comp in components:
         occur = [0] * n
         for triple in comp.sets:

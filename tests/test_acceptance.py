@@ -288,7 +288,7 @@ def test_performance_floor():
     gen = from_partition(weights)
     assert gen.expected_answer is True
     start = time.perf_counter()
-    result = price_vector_dp(gen.instance)
+    result = price_vector_dp(gen.instance, gen.target_budget)
     assert time.perf_counter() - start < 5.0
     assert result is not None
     assert result.total_cost <= gen.target_budget

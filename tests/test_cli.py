@@ -19,7 +19,7 @@ from clevershopper import (
     random_instance,
     serialize_instance,
 )
-from clevershopper import exact
+from clevershopper import exact, reductions
 from clevershopper.bench import ALGORITHM_NAMES
 from clevershopper.cli import main
 
@@ -86,6 +86,31 @@ class TestSolve:
         )
         assert code == 1
         assert "no: minimum cost exceeds budget 3" in out
+
+    @pytest.mark.parametrize(
+        "algo, budget, code, verdict",
+        [("oracle", "-3", 0, "yes: cost -4 within budget -3"),
+         ("oracle", "-5", 1, "no: cost -4 exceeds budget -5"),
+         ("price-dp", "-3", 0, "yes: cost -4 within budget -3"),
+         ("price-dp", "-5", 1, "no: minimum cost exceeds budget -5")],
+        ids=["oracle-yes", "oracle-no", "price-dp-yes", "price-dp-no"],
+    )
+    def test_negative_budget_in_file_or_flag(self, capsys, tmp_path, algo, budget, code, verdict):
+        # A threshold-0 shop earns its discount unconditionally, so costs
+        # and budgets can be negative.
+        text = "CLEVERSHOP 1\nBOOKS 1\nSHOPS 1\nSHOP 1 5 0\nOFFER 1 1 1\n"
+        bare = tmp_path / "bare.cshop"
+        bare.write_text(text)
+        budgeted = tmp_path / "budgeted.cshop"
+        budgeted.write_text(text + f"BUDGET {budget}\n")
+        by_flag = run_cli(
+            capsys, "solve", "--input", str(bare), "--algo", algo, "--budget", budget
+        )
+        by_file = run_cli(capsys, "solve", "--input", str(budgeted), "--algo", algo)
+        assert by_file == by_flag
+        assert by_flag[0] == code
+        assert by_flag[1].endswith(f"{verdict}\n")
+        assert by_flag[2] == ""
 
     def test_output_file(self, capsys, five_books_path, tmp_path):
         sol = tmp_path / "out.sol"
@@ -446,6 +471,14 @@ class TestGenerate:
         assert code == 2
         assert "offers, more than the 1000000 a generator makes" in err
 
+    def test_x3c_request_counts_identifier_offers(self, capsys, monkeypatch):
+        # 20 components need 5 identifier bits: 2,220 offers, not 3 * 6 * 20.
+        monkeypatch.setattr(reductions, "MAX_OFFERS", 1000)
+        assert run_cli(capsys, "generate", "x3c", "--n", "6", "--m", "20") == (
+            2, "", "error: 6 items in 20 components may need 2220 offers, "
+            "more than the 1000 a generator makes\n",
+        )
+
     def test_bad_weights(self, capsys):
         code, _, err = run_cli(
             capsys, "generate", "partition", "--weights", "1,two,3"
@@ -573,6 +606,23 @@ class TestCheck:
         assert code == 0
         assert "budget 40 (within)" in out
 
+    def test_file_budget_applies_without_flag(self, capsys, tmp_path, five_books_path):
+        sol = self.make_pair(capsys, tmp_path, five_books_path)
+        for budget, code, verdict in [("33", 1, "over"), ("34", 0, "within")]:
+            inst = tmp_path / f"budget{budget}.cshop"
+            inst.write_text(five_books_path.read_text() + f"BUDGET {budget}\n")
+            assert run_cli(
+                capsys, "check", "--input", str(inst), "--solution", str(sol)
+            ) == (code, f"cost 34\ndeclared 34 (matches)\nbudget {budget} ({verdict})\n", "")
+
+    def test_budget_flag_overrides_file(self, capsys, tmp_path, five_books_path):
+        sol = self.make_pair(capsys, tmp_path, five_books_path)
+        inst = tmp_path / "budget33.cshop"
+        inst.write_text(five_books_path.read_text() + "BUDGET 33\n")
+        assert run_cli(
+            capsys, "check", "--input", str(inst), "--solution", str(sol), "--budget", "40"
+        ) == (0, "cost 34\ndeclared 34 (matches)\nbudget 40 (within)\n", "")
+
     def test_unassigned_book_blamed_on_solution(self, capsys, tmp_path, five_books_path):
         sol = tmp_path / "short.sol"
         sol.write_text("ASSIGN 1 1\nCOST 12\n")
@@ -690,6 +740,14 @@ class TestBench:
         assert code == 2
         assert "timeout must be a positive number of seconds" in err
         assert out == ""
+
+    def test_empty_algorithm_list(self, capsys, tmp_path, five_books_path):
+        bench_dir = tmp_path / "suite"
+        bench_dir.mkdir()
+        (bench_dir / "a.cshop").write_text(five_books_path.read_text())
+        assert run_cli(capsys, "bench", "--dir", str(bench_dir), "--algos", " , ") == (
+            2, "", "error: algorithm list must be non-empty\n"
+        )
 
     def test_unknown_algorithm(self, capsys, tmp_path, five_books_path):
         bench_dir = tmp_path / "suite"

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from clevershopper import (
-    CheckReport,
     CnfFormula,
     DanglingIndex,
     InputError,
@@ -181,18 +180,16 @@ class TestCheckSolution:
         return serialize_solution(brute_force_min_cost(five_books))
 
     def test_matching_declaration(self, five_books):
-        report = check_solution(five_books, self.solution_text(five_books), budget=34)
-        assert isinstance(report, CheckReport)
-        assert report.result.total_cost == 34
-        assert report.declared_cost == 34
-        assert report.cost_matches is True
-        assert report.within_budget is True
+        result, declared = check_solution(five_books, self.solution_text(five_books))
+        assert result == brute_force_min_cost(five_books)
+        assert result.total_cost == 34
+        assert declared == 34
 
     def test_declared_mismatch_reported(self, five_books):
         text = self.solution_text(five_books).replace("COST 34", "COST 33")
-        report = check_solution(five_books, text)
-        assert report.cost_matches is False
-        assert report.declared_cost == 33
+        result, declared = check_solution(five_books, text)
+        assert result.total_cost == 34
+        assert declared == 33
 
     def test_missing_book(self, five_books):
         text = "ASSIGN 1 1\nCOST 12\n"
@@ -203,25 +200,6 @@ class TestCheckSolution:
         text = self.solution_text(five_books) + "ASSIGN 6 1\n"
         with pytest.raises(DanglingIndex):
             check_solution(five_books, text)
-
-    def test_budget_defaults_to_instance(self, five_books):
-        from dataclasses import replace
-
-        no_budget = check_solution(five_books, self.solution_text(five_books))
-        assert no_budget.budget is None
-        assert no_budget.within_budget is None
-
-        tight = replace(five_books, budget=33)
-        report = check_solution(tight, self.solution_text(five_books))
-        assert report.budget == 33
-        assert report.within_budget is False
-
-    def test_explicit_budget_overrides(self, five_books):
-        from dataclasses import replace
-
-        tight = replace(five_books, budget=33)
-        report = check_solution(tight, self.solution_text(five_books), budget=40)
-        assert report.within_budget is True
 
 
 class TestParseGraph:
@@ -309,3 +287,37 @@ class TestParseDimacs:
     def test_clause_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 3 2\n1 2 3 0\n")
+
+
+ONE_BOOK = "CLEVERSHOP 1\nBOOKS 1\nSHOPS 1\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_instance, "CLEVERSHOP 1\n", "missing BOOKS line"),
+        (parse_instance, "CLEVERSHOP 1\nBOOKS 1\n", "missing SHOPS line"),
+        (parse_instance, "CLEVERSHOP 1\nBOOKS -1\nSHOPS 1\n",
+         "line 2: BOOKS count must be non-negative"),
+        (parse_instance, ONE_BOOK + "SHOP 1 -1 0\n",
+         "line 4: discount and threshold must be non-negative"),
+        (parse_instance, ONE_BOOK + "SHOP 1 0 0\nOFFER 1 1 1\nBUDGET 1 2\n",
+         "line 6: expected 'BUDGET <value>'"),
+        (parse_solution, "ASSIGN 1 1\nCOST 1 2\n", "line 2: expected 'COST <value>'"),
+        (parse_solution, "COST 1\nPAY 1\n", "line 2: unknown directive 'PAY'"),
+        (parse_graph, "3 1\n", "line 1: expected a single vertex count"),
+        (parse_graph, "-1\n", "line 1: vertex count must be non-negative"),
+        (parse_graph, "3\n1 2 3\n", "line 2: expected 'u v'"),
+        (parse_dimacs, "p cnf 3\n", "line 1: expected 'p cnf <vars> <clauses>'"),
+        (parse_dimacs, "c no problem line\n", "missing problem line"),
+    ],
+    ids=[
+        "books-missing", "shops-missing", "count-negative", "rule-negative",
+        "budget-arity", "cost-arity", "solution-directive", "graph-header",
+        "graph-negative", "graph-edge-arity", "dimacs-problem-line", "dimacs-missing",
+    ],
+)
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message

@@ -87,10 +87,6 @@ class TestValidation:
         with pytest.raises(NegativeValue, match=f"^{message}$"):
             make_instance(2, rules, offers)
 
-    def test_negative_budget(self):
-        with pytest.raises(NegativeValue):
-            make_instance(1, [(1, 1)], [(0, 0, 5)], budget=-1)
-
     def test_zero_price_allowed(self):
         inst = make_instance(1, [(1, 1)], [(0, 0, 0)])
         assert inst.price[(0, 0)] == 0

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from clevershopper import (
     DiscountModel,
-    InputError,
     ResourceLimitError,
     brute_force_min_cost,
     evaluate_assignment,
@@ -37,16 +37,6 @@ class TestDecision:
         # total 10 >= 9, so cost is 7
         assert price_vector_dp(inst, 7) is not None
         assert price_vector_dp(inst, 6) is None
-
-    def test_budget_defaults_to_instance(self):
-        inst = make_instance(1, [(0, 1)], [(0, 0, 5)], budget=5)
-        assert price_vector_dp(inst) is not None
-        assert price_vector_dp(make_instance(1, [(0, 1)], [(0, 0, 5)], budget=4)) is None
-
-    def test_missing_budget_rejected(self):
-        inst = make_instance(1, [(0, 1)], [(0, 0, 5)])
-        with pytest.raises(InputError, match="decision requires a budget"):
-            price_vector_dp(inst)
 
     def test_witness_respects_budget(self):
         for seed in range(25):
@@ -121,6 +111,18 @@ class TestOptimization:
         monkeypatch.setattr(exact, "MAX_STATES", 10)
         with pytest.raises(ResourceLimitError, match="reachable state count 11 exceeds cap 10"):
             price_vector_min_cost(inst)
+
+    @pytest.mark.parametrize("cap", [100, 10_000])
+    def test_state_cap_checked_within_a_layer(self, monkeypatch, cap):
+        # The count is checked after each state of a layer, so the refusal
+        # comes before one layer can grow to m times the one before: one
+        # state adds at most one vector per shop.
+        inst = from_bin_packing((3, 5, 7, 2, 4, 6, 1, 8, 9, 3, 4, 8), 4, 15).instance
+        monkeypatch.setattr(exact, "MAX_STATES", cap)
+        with pytest.raises(ResourceLimitError, match=rf"exceeds cap {cap}$") as refused:
+            price_vector_min_cost(inst)
+        size = re.match(r"reachable state count (\d+) ", str(refused.value))
+        assert int(size[1]) <= cap + inst.num_shops
 
     def test_tie_break_keeps_smallest_spend_vector(self):
         # among equal-cost endings the lexicographically smallest per-shop

@@ -24,6 +24,7 @@ from clevershopper import (
     x3c_or_composition,
     x3c_solvable,
 )
+from clevershopper import reductions
 
 import bruteforce
 
@@ -347,3 +348,43 @@ class TestRandomInstance:
         # checked before the 3 * num_items slots are allocated
         with pytest.raises(InputError, match="offers, more than"):
             random_x3c(10**9)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: x3c_or_composition((X3CInstance(0, ()),)), EmptyInput,
+         "component items must be non-empty"),
+        (lambda: x3c_or_composition((random_x3c(3),), t_const=-1), NegativeValue,
+         "t_const must be non-negative, got -1"),
+        (lambda: from_max3sat(CnfFormula(0, ())), EmptyInput,
+         "variable list must be non-empty"),
+        (lambda: random_x3c(2), InputError, "need at least 3 items, got 2"),
+        (lambda: random_instance(0, 1), InputError, "need at least one book and one shop"),
+        (lambda: random_instance(1, 0), InputError, "need at least one book and one shop"),
+        (lambda: random_instance(1, 1, max_price=0), InputError,
+         "max price must be positive, got 0"),
+        (lambda: random_instance(1, 1, shop_degree_cap=0), InputError,
+         "degree cap must be positive, got 0"),
+    ],
+    ids=[
+        "x3c-no-items", "x3c-t-const", "max3sat-no-vars", "x3c-few-items",
+        "random-no-books", "random-no-shops", "random-max-price", "random-degree-cap",
+    ],
+)
+def test_generator_error_messages(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_x3c_composition_counts_every_offer(monkeypatch):
+    # 20 components of 6 items need 5 identifier bits: 20 * 6 * 3 * (1 + 5)
+    # set-shop offers plus 2 * 5 * 6 selector-shop offers.
+    components = tuple(random_x3c(6, seed) for seed in range(20))
+    monkeypatch.setattr(reductions, "MAX_OFFERS", 1000)
+    with pytest.raises(InputError) as exc:
+        x3c_or_composition(components)
+    assert str(exc.value) == (
+        "6 items in 20 components may need 2220 offers, more than the 1000 a generator makes"
+    )

@@ -161,3 +161,26 @@ class TestCnf:
     def test_exhaustive_tiny(self):
         cnf = CnfFormula(1, ())
         assert max_satisfied_clauses(cnf) == 0
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: SimpleGraph(2, ((-1, 1),)), DanglingIndex,
+         "vertex index -1 out of range (have 2)"),
+        (lambda: SimpleGraph(2, ((0, 5),)), DanglingIndex,
+         "vertex index 5 out of range (have 2)"),
+        (lambda: can_pack_bins((2, -1), 1, 2), NegativeValue,
+         "weight must be non-negative, got -1"),
+    ],
+    ids=["graph-first-end", "graph-second-end", "packing-negative-weight"],
+)
+def test_source_error_messages(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("weights, expected", [((), True), ((1,), False)])
+def test_no_bins_pack_only_nothing(weights, expected):
+    assert can_pack_bins(weights, 0, 5) is expected
