@@ -202,6 +202,10 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         slack = bound - rest[b + 1]
         nxt: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {}
         room = MAX_STATES - total  # for this layer's vectors
+        # Each state adds at most one vector per offer of book b, so a
+        # layer within this product cannot pass the cap and skips the test.
+        offers = instance.offers_by_book[b]
+        capped = len(layers[-1]) * len(offers) > room
         for state in sorted(layers[-1]):
             # A successor's LB - R_(b+1) is base + the price of book b, less
             # the discount of its shop if that price lifts the spend there
@@ -210,7 +214,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
             for s in shops:
                 if state[s] >= reach[s]:
                     base -= discount[s]
-            for shop, price in instance.offers_by_book[b]:
+            for shop, price in offers:
                 spend = state[shop]
                 lb = base + price
                 if spend < reach[shop] <= spend + price:
@@ -220,7 +224,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
                 ns = state[:shop] + (spend + price,) + state[shop + 1 :]
                 if ns not in nxt:
                     nxt[ns] = (state, shop)
-            if len(nxt) > room:  # one state adds at most m vectors
+            if capped and len(nxt) > room:
                 size = total + len(nxt)
                 raise ResourceLimitError(f"reachable state count {size} exceeds cap {MAX_STATES}")
         total += len(nxt)

@@ -1,15 +1,21 @@
 """Maximum-weight matching in general graphs.
 
-Primal-dual blossom algorithm, O(V^2 (V + E)).  The implementation
-follows the classic stage structure: each stage grows alternating trees
-from the unmatched vertices, shrinking odd cycles into blossoms, until it
-either finds an augmenting path or proves that none exists under the
-current dual variables, in which case the duals are adjusted by the least
-slack.  Each dual step finds that slack with one O(V + E) scan over the
-edges.  Least-slack edge lists per vertex and blossom would bound a step
-by O(V) on dense graphs, but the package's one caller,
-``build_discount_graph``, emits at most 2 edges per shop, so E < 2V and
-the scan costs no more.
+Primal-dual blossom algorithm, run on one connected component at a time.
+A union-find pass over the edges finds the components, and isolated
+vertices cost nothing beyond that pass.  Within a component of V vertices
+and E edges the algorithm takes O(V^2 (V + E)), and blossoms nest at most
+V deep, so the recursion in ``expand_blossom`` and ``augment_blossom`` is
+bounded by the component's size, not by the whole graph's.
+
+The implementation follows the classic stage structure: each stage grows
+alternating trees from the unmatched vertices, shrinking odd cycles into
+blossoms, until it either finds an augmenting path or proves that none
+exists under the current dual variables, in which case the duals are
+adjusted by the least slack.  Each dual step finds that slack with one
+O(V + E) scan over the component's edges.  Least-slack edge lists per
+vertex and blossom would bound a step by O(V) on dense graphs, but the
+package's one caller, ``build_discount_graph``, emits at most 2 edges per
+shop, so its graphs have E < 2V and the scan costs no more.
 Edge slacks are computed as dual[i] + dual[j] - 2*weight so that all dual
 arithmetic stays integral for integer edge weights.
 
@@ -62,12 +68,37 @@ class WeightedGraph:
 def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
     """Matching of maximum total weight, as a set of (u, v) pairs with u < v.
     The graph rejected self-loops and repeated pairs when it was built."""
-    edges = [(e.u, e.v, e.weight) for e in graph.edges]
-    nedge = len(edges)
-    nvertex = graph.num_vertices
-    if nedge == 0 or nvertex == 0:
-        return frozenset()
+    # Union-find over the edges.  A matching is the union of matchings of
+    # the connected components, so each component with an edge is solved
+    # alone, its vertices relabelled 0..k-1 in increasing id order.
+    parent = list(range(graph.num_vertices))
 
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for e in graph.edges:
+        parent[find(e.u)] = find(e.v)
+    components: dict[int, list[WeightedEdge]] = {}
+    for e in graph.edges:
+        components.setdefault(find(e.u), []).append(e)
+
+    pairs: set[tuple[int, int]] = set()
+    for members in components.values():
+        ids = sorted({x for e in members for x in (e.u, e.v)})
+        local = {v: i for i, v in enumerate(ids)}
+        edges = [(local[e.u], local[e.v], e.weight) for e in members]
+        pairs.update((ids[i], ids[j]) for i, j in _match_component(len(ids), edges))
+    return frozenset(pairs)
+
+
+def _match_component(
+    nvertex: int, edges: list[tuple[int, int, int]]
+) -> frozenset[tuple[int, int]]:
+    """Maximum-weight matching of a graph on vertices 0..nvertex-1 with at
+    least one edge, as (i, j) pairs with i < j."""
+    nedge = len(edges)
     maxweight = max(max(0, wt) for (_, _, wt) in edges)
 
     # Endpoint p of edge k=p//2 is vertex edges[k][p%2]; neighbend[v] lists

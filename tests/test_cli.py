@@ -439,20 +439,27 @@ class TestGenerate:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    # Gadgets whose budget is negative are valid instances: the solvers'
+    # answer (exit 0 for yes, 1 for no) must agree with the source
+    # problem's, which the generator records.
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, answer",
         [
-            ("partition --weights 0", "weights must sum to at least 2, got 0"),
-            ("partition --weights 1", "weights must sum to at least 2, got 1"),
-            ("binpacking --weights 0,0 --bins 2 --capacity 0",
-             "bin capacity must be positive, got 0"),
+            ("partition --weights 0", "yes"),  # budget -2, both shops earn
+            ("partition --weights 1", "no"),  # budget -1, one shop can earn
+            ("binpacking --weights 0,0 --bins 2 --capacity 0", "yes"),  # budget -2
         ],
         ids=["partition-0", "partition-1", "binpacking-capacity-0"],
     )
-    def test_error_names_the_cause(self, capsys, argv, message):
-        code, _, err = run_cli(capsys, "generate", *argv.split())
-        assert code == 2
-        assert message in err
+    def test_edge_case_gadget_agrees_with_solvers(self, capsys, tmp_path, argv, answer):
+        path = tmp_path / "g.cshop"
+        code, out, _ = run_cli(capsys, "generate", *argv.split(), "--output", str(path))
+        assert code == 0
+        assert f"expected {answer}" in out
+        for algo in ("oracle", "price-dp"):
+            code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--algo", algo)
+            assert code == (0 if answer == "yes" else 1)
+            assert out.splitlines()[-1].startswith(f"{answer}:")
 
     @pytest.mark.parametrize(
         "argv",

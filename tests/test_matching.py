@@ -157,3 +157,66 @@ class TestAgainstExhaustive:
             assert_valid_matching(g, m)
             expected = bruteforce.dp_max_matching_weight(n, triples)
             assert bruteforce.matching_weight(g, m) == expected
+
+
+def random_triples(rng, first, size, edge_prob, weights):
+    """Random edges among vertices first..first+size-1."""
+    return [
+        (first + u, first + v, rng.randint(*weights))
+        for u in range(size)
+        for v in range(u + 1, size)
+        if rng.random() < edge_prob
+    ]
+
+
+class TestComponents:
+    def test_isolated_vertices_around_one_edge(self):
+        g = graph(100_000, [(70_000, 3, 5)])
+        assert max_weight_matching(g) == frozenset({(3, 70_000)})
+
+    def test_disjoint_union_sweep(self):
+        # Side-by-side small graphs and isolated vertices, with the vertex
+        # ids shuffled so that components interleave, and about half of the
+        # edges given high end first.
+        rng = random.Random(20261019)
+        for _ in range(300):
+            n = 0
+            triples = []
+            for _ in range(rng.randint(2, 4)):
+                size = rng.randint(1, 4)
+                triples += random_triples(rng, n, size, 0.6, (-2, 9))
+                n += size
+            n += rng.randint(0, 3)
+            ids = list(range(n))
+            rng.shuffle(ids)
+            triples = [
+                (ids[u], ids[v], w) if rng.random() < 0.5 else (ids[v], ids[u], w)
+                for u, v, w in triples
+            ]
+            g = graph(n, triples)
+            m = max_weight_matching(g)
+            assert_valid_matching(g, m)
+            assert all(u < v for u, v in m)
+            expected = bruteforce.dp_max_matching_weight(n, triples)
+            assert bruteforce.matching_weight(g, m) == expected
+
+    def test_union_weight_is_sum_of_parts(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            n1, n2 = rng.randint(4, 30), rng.randint(4, 30)
+            g1 = random_triples(rng, 0, n1, 0.2, (0, 20))
+            g2 = random_triples(rng, 0, n2, 0.2, (0, 20))
+            # Place G2's vertices at random positions among G1's.
+            slots = list(range(n1 + n2))
+            rng.shuffle(slots)
+            at1, at2 = sorted(slots[:n1]), sorted(slots[n1:])
+            union = graph(
+                n1 + n2,
+                [(at1[u], at1[v], w) for u, v, w in g1] + [(at2[u], at2[v], w) for u, v, w in g2],
+            )
+            m = max_weight_matching(union)
+            assert_valid_matching(union, m)
+            parts = [graph(n1, g1), graph(n2, g2)]
+            assert bruteforce.matching_weight(union, m) == sum(
+                bruteforce.matching_weight(g, max_weight_matching(g)) for g in parts
+            )

@@ -107,7 +107,9 @@ class TestMatching2:
     # dropped edges (pairs that are not threshold-minimal, savings <= 0)
     # could cost a plan.  Thresholds reach up to two books' top price;
     # threshold-0 shops are drawn throughout, and discount-0 shops in every
-    # set (all of them under "no-discounts").
+    # set (all of them under "no-discounts").  Under "discounts", 35-41 of
+    # each row's 150 graphs have two or more components with an edge, so
+    # the sweep also covers the matcher's split into components.
     @pytest.mark.parametrize("max_discount", [0, 4], ids=["no-discounts", "discounts"])
     @pytest.mark.parametrize(
         "prices",
