@@ -151,14 +151,16 @@ def _write(path: str, text: str) -> None:
 def _print_result(instance: Instance, result: SolveResult) -> None:
     print(f"cost {result.total_cost}")
     print(f"discount {result.total_discount}")
-    books_at: dict[int, list[int]] = {}
+    books_at: list[list[int]] = [[] for _ in instance.rules]
     for b, shop in enumerate(result.choice):
-        books_at.setdefault(shop, []).append(b)
-    for s, books in sorted(books_at.items()):
+        books_at[shop].append(b)
+    # A threshold-0 shop earns its discount with no books, and gets a line.
+    for s, books in enumerate(books_at):
         spend = result.per_shop_spend[s]
         earned = discount_earned(instance.rules[s], spend)
-        names = " ".join(f"b{b + 1}" for b in books)
-        print(f"shop s{s + 1}: {names} (spend {spend}, discount {earned})")
+        if books or earned:
+            names = " ".join(f"b{b + 1}" for b in books) or "none"
+            print(f"shop s{s + 1}: {names} (spend {spend}, discount {earned})")
 
 
 def _budget(args: argparse.Namespace, instance: Instance) -> int | None:

@@ -18,9 +18,11 @@
   maximum-weight matching in a graph whose edges are the shops' earning
   sets: a one-book set joins the book to the shop, a two-book set joins
   the two books.
-* ``fstar_unit_price_min_cost``: unit prices, few shops.  Enumerates the
-  set of shops that will earn their discount and checks each candidate
-  with a degree-constrained subgraph (flow) computation.
+* ``fstar_unit_price_min_cost``: unit prices, few shops.  Branch and
+  bound over the sets of shops that earn their discounts, in lexicographic
+  order, pruned by a knapsack bound on the discount still reachable; each
+  set reached is checked with a degree-constrained subgraph (flow)
+  computation.
 
 Every solver returns through ``_claimed_plan``: the cheapest plan with
 the books it claims moved to their shops, priced and checked against the
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .errors import InputError, NegativeValue, ResourceLimitError
 from .matching import WeightedEdge, WeightedGraph, max_weight_matching
@@ -315,7 +318,7 @@ def matching2_min_cost(instance: Instance) -> SolveResult:
     return _claimed_plan(instance, claims, weight + free)
 
 
-# --- discount-set enumeration for unit prices --------------------------------
+# --- branch and bound over discount sets for unit prices --------------------
 
 
 @dataclass(frozen=True)
@@ -391,13 +394,29 @@ def max_fstar_subgraph(instance: Instance, bound: StarDegreeBound) -> tuple[tupl
 
 
 def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
-    """Minimum cost for unit-price instances by discount-set enumeration.
+    """Minimum cost for unit-price instances by branch and bound over the
+    sets of shops that earn their discounts.
 
-    For each candidate set S of shops to earn their discounts, a feasible
-    plan exists iff the offer graph has a subgraph hitting every shop of S
-    exactly at its threshold with books used at most once; the cost is
-    then (number of books) - (discounts of S).  Ties between optimal sets
-    go to the lexicographically smallest shop tuple.
+    A set S of shops can earn its discounts iff the offer graph has a
+    subgraph hitting every shop of S exactly at its threshold with books
+    used at most once (``max_fstar_subgraph`` fills every slot); the cost
+    is then (number of books) - (discounts of S).  Ties between optimal
+    sets go to the lexicographically smallest shop tuple.
+
+    The search is depth-first: a node is a set S, and its children add one
+    shop j above S's largest, in increasing j.  Pre-order then visits the
+    sorted shop tuples in lexicographic order, so only a strictly cheaper
+    set replaces the best one found, and the first cheapest set wins the
+    tie.  Three exact rules prune:
+
+    * bound: a node's loop stops at the first j where even the most
+      discount shops j.. could add, as a fractional knapsack on the books
+      S leaves free, does not beat the best cost;
+    * threshold sum: j is skipped if the thresholds would sum past n;
+    * feasibility: the flow runs for S + j only once the bound has passed,
+      and the search goes below S + j only if the flow fills every slot.
+      Feasible sets are closed under subsets, so a failed check prunes
+      every superset.
     """
     m = instance.num_shops
     if m > MAX_SHOPS_FSTAR:
@@ -410,19 +429,49 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
             )
     n = instance.num_books
     rules = instance.rules
+    # The shops with a discount, fewest threshold books per unit of discount
+    # first: the order in which a fractional knapsack takes them.
+    by_ratio = sorted(
+        (s for s in range(m) if rules[s].discount),
+        key=cmp_to_key(lambda a, b: rules[a].threshold * rules[b].discount
+                       - rules[b].threshold * rules[a].discount),
+    )
+    caps = [0] * m  # thresholds of the shops in the current set, 0 elsewhere
+    best_cost, best_star = n, ()  # the empty set, first in the order, costs n
 
-    best: tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]] | None = None
-    for mask in range(1 << m):
-        shops = tuple(s for s in range(m) if mask >> s & 1)
-        tsum = sum(rules[s].threshold for s in shops)
-        if tsum > n:
-            continue
-        cost = n - sum(rules[s].discount for s in shops)
-        if best is not None and (cost, shops) >= (best[0], best[1]):
-            continue
-        caps = tuple(rules[s].threshold if mask >> s & 1 else 0 for s in range(m))
-        star = max_fstar_subgraph(instance, StarDegreeBound(caps))
-        if len(star) == tsum:
-            best = (cost, shops, star)
-    assert best is not None  # the empty set always qualifies
-    return _claimed_plan(instance, best[2], n - best[0])  # each book costs 1 at its cheapest
+    def reach(start: int, room: int) -> int:
+        """An upper bound on the discount shops start.. can add with
+        ``room`` books left: the fractional knapsack, where a shop may earn
+        a share of its discount on that share of its threshold, rounded
+        down."""
+        total = 0
+        for s in by_ratio:
+            if s < start:
+                continue
+            d, t = rules[s].discount, rules[s].threshold
+            if t > room:
+                return total + d * room // t
+            total += d
+            room -= t
+        return total
+
+    def visit(start: int, disc: int, tsum: int) -> None:
+        """Try each set that adds shops start.. to the current one."""
+        nonlocal best_cost, best_star
+        for j in range(start, m):
+            if n - disc - reach(j, n - tsum) >= best_cost:
+                return  # no set under j, or under a later shop, is cheaper
+            t = rules[j].threshold
+            if tsum + t > n:
+                continue
+            caps[j] = t
+            star = max_fstar_subgraph(instance, StarDegreeBound(tuple(caps)))
+            if len(star) == tsum + t:
+                d = disc + rules[j].discount
+                if n - d < best_cost:
+                    best_cost, best_star = n - d, star
+                visit(j + 1, d, tsum + t)
+            caps[j] = 0
+
+    visit(0, 0, 0)
+    return _claimed_plan(instance, best_star, n - best_cost)  # each book costs 1 at its cheapest

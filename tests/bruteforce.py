@@ -2,7 +2,8 @@
 
 Everything here is deliberately written in the dumbest possible style,
 sharing no code with the package, so that agreement between the two is
-meaningful evidence of correctness.
+meaningful evidence of correctness.  The one exception, ``fstar_by_masks``,
+checks only fstar's search and reuses the package's flow.
 """
 
 from __future__ import annotations
@@ -10,7 +11,15 @@ from __future__ import annotations
 import itertools
 import random
 
-from clevershopper import CnfFormula, Instance
+from clevershopper import (
+    CnfFormula,
+    Instance,
+    SolveResult,
+    StarDegreeBound,
+    evaluate_assignment,
+    max_fstar_subgraph,
+)
+from clevershopper.model import cheapest_plan
 
 
 def assignment_cost(instance: Instance, choice: tuple[int, ...]) -> int:
@@ -116,6 +125,39 @@ def brute_fstar_size(edges, caps) -> int:
                 best = r
                 break
     return best
+
+
+def fstar_by_masks(instance: Instance) -> SolveResult:
+    """``fstar_unit_price_min_cost`` by scanning all 2^m shop sets.
+
+    The package's solver before its branch and bound, kept as the reference
+    for the search: it shares the flow, ``max_fstar_subgraph``, and builds
+    the plan the same way, so the two agree on the whole result, ties
+    included.  Among the cheapest feasible sets it keeps the one with the
+    lexicographically smallest shop tuple.
+    """
+    m = instance.num_shops
+    n = instance.num_books
+    rules = instance.rules
+
+    best: tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]] | None = None
+    for mask in range(1 << m):
+        shops = tuple(s for s in range(m) if mask >> s & 1)
+        tsum = sum(rules[s].threshold for s in shops)
+        if tsum > n:
+            continue
+        cost = n - sum(rules[s].discount for s in shops)
+        if best is not None and (cost, shops) >= (best[0], best[1]):
+            continue
+        caps = tuple(rules[s].threshold if mask >> s & 1 else 0 for s in range(m))
+        star = max_fstar_subgraph(instance, StarDegreeBound(caps))
+        if len(star) == tsum:
+            best = (cost, shops, star)
+    assert best is not None  # the empty set always qualifies
+    choice = cheapest_plan(instance)
+    for b, s in best[2]:
+        choice[b] = s
+    return evaluate_assignment(instance, choice)
 
 
 def inventories_exactly_cover(instance: Instance) -> bool:

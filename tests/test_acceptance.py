@@ -293,6 +293,15 @@ def test_performance_floor():
     assert result is not None
     assert result.total_cost <= gen.target_budget
 
+    # fstar at its shop cap.  Every one of the 20 shops earns its discount,
+    # so the cost meets the lower bound n - (all discounts) and is optimal.
+    inst = random_instance(200, 20, unit_prices=True, seed=3)
+    start = time.perf_counter()
+    result = fstar_unit_price_min_cost(inst)
+    assert time.perf_counter() - start < 5.0
+    assert result.total_cost == 200 - sum(rule.discount for rule in inst.rules) == 151
+    assert evaluate_assignment(inst, result.choice) == result
+
 
 def test_serialization_round_trip_stability(five_books):
     from dataclasses import replace

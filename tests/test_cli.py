@@ -87,6 +87,21 @@ class TestSolve:
         assert code == 1
         assert "no: minimum cost exceeds budget 3" in out
 
+    def test_shop_earning_with_no_books_gets_a_line(self, capsys, tmp_path):
+        # Both shops have threshold 0; the only book goes to s1, and s2
+        # earns its discount holding nothing.
+        inst_file = tmp_path / "zero.cshop"
+        run_cli(capsys, "generate", "partition", "--weights", "0", "--output", str(inst_file))
+        code, out, _ = run_cli(capsys, "solve", "--input", str(inst_file), "--algo", "oracle")
+        assert code == 0
+        assert out == (
+            "cost -2\n"
+            "discount 2\n"
+            "shop s1: b1 (spend 0, discount 1)\n"
+            "shop s2: none (spend 0, discount 1)\n"
+            "yes: cost -2 within budget -2\n"
+        )
+
     @pytest.mark.parametrize(
         "algo, budget, code, verdict",
         [("oracle", "-3", 0, "yes: cost -4 within budget -3"),

@@ -9,6 +9,7 @@ from clevershopper import (
     InputError,
     NegativeValue,
     ResourceLimitError,
+    SimpleGraph,
     StarDegreeBound,
     brute_force_min_cost,
     evaluate_assignment,
@@ -139,3 +140,34 @@ class TestUnitPriceSolver:
             got = fstar_unit_price_min_cost(inst)
             assert got.total_cost == brute_force_min_cost(inst).total_cost
             assert evaluate_assignment(inst, got.choice) == got
+
+
+class TestSearchMatchesMaskScan:
+    """The branch and bound returns exactly the result of scanning every
+    shop set, plan and tie rule included."""
+
+    def test_random_unit_price_sweep(self):
+        rng = random.Random(15)
+        for _ in range(2000):
+            # Thresholds reach past n, and both ends of each range occur:
+            # zero discounts and threshold-0 shops.
+            model = DiscountModel(
+                max_discount=rng.randint(0, 4), min_threshold=0, max_threshold=9
+            )
+            inst = random_instance(
+                rng.randint(1, 9),
+                rng.randint(1, 8),
+                unit_prices=True,
+                discount_model=model,
+                seed=rng.randint(0, 10**6),
+            )
+            assert fstar_unit_price_min_cost(inst) == bruteforce.fstar_by_masks(inst)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_perfect_code_gadgets(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(12, 16)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = tuple(sorted(rng.sample(pairs, rng.randint(n // 2, 2 * n))))
+        inst = from_perfect_code(SimpleGraph(n, edges), 1).instance
+        assert fstar_unit_price_min_cost(inst) == bruteforce.fstar_by_masks(inst)
