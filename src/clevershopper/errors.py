@@ -9,8 +9,10 @@ Nothing in the package tells errors apart below these two, so a raise
 site uses a family directly, and a subclass exists only where several
 raise sites share its message format.
 
-Messages name books and shops as instance files and solve output do
-(``b1``, ``s1``: 1-based), while raise sites pass 0-based indices.
+Messages about a built instance or plan name books and shops as solve
+output does (``b1``, ``s1``: 1-based), while raise sites pass 0-based
+indices.  A ``ParseError`` reason instead quotes the file's own numbers
+("duplicate offer for book 2 at shop 1"), beside the line it is on.
 """
 
 from __future__ import annotations

@@ -23,10 +23,12 @@ from .sources import CnfFormula, SimpleGraph
 
 
 def _significant_lines(text: str):
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield no, line.split()
+    for no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tokens = line.split()
+        if tokens:
+            yield no, tokens
 
 
 def _int(token: str, no: int | None, what: str) -> int:
@@ -66,11 +68,35 @@ def parse_instance(text: str) -> Instance:
     num_books, num_shops = counts["BOOKS"], counts["SHOPS"]
 
     rules: dict[int, tuple[int, int]] = {}
-    offers: dict[tuple[int, int], int] = {}
+    offers: list[tuple[int, int, int]] = []
+    seen: set[int] = set()  # book * num_shops + shop
     budget: int | None = None
     for no, tokens in lines:
         kind = tokens[0]
-        if kind == "SHOP":
+        if kind == "OFFER":
+            try:
+                _, b, s, p = tokens
+                book, shop, price = int(b) - 1, int(s) - 1, int(p)
+            except ValueError:
+                book = -1
+            if (
+                0 <= book < num_books and 0 <= shop < num_shops and price >= 0
+                and (key := book * num_shops + shop) not in seen
+            ):
+                seen.add(key)
+                offers.append((book, shop, price))
+                continue
+            # A bad line: raise its first fault in field order.  Past these
+            # checks, only a negative price is left.
+            if len(tokens) != 4:
+                raise ParseError(no, "expected 'OFFER <book> <shop> <price>'")
+            book = _index(tokens[1], no, "book", num_books)
+            shop = _index(tokens[2], no, "shop", num_shops)
+            if book * num_shops + shop in seen:
+                raise ParseError(no, f"duplicate offer for book {book + 1} at shop {shop + 1}")
+            _int(tokens[3], no, "price")
+            raise ParseError(no, "price must be non-negative")
+        elif kind == "SHOP":
             if len(tokens) != 4:
                 raise ParseError(no, "expected 'SHOP <id> <discount> <threshold>'")
             shop = _index(tokens[1], no, "shop id", num_shops)
@@ -81,17 +107,6 @@ def parse_instance(text: str) -> Instance:
             if discount < 0 or threshold < 0:
                 raise ParseError(no, "discount and threshold must be non-negative")
             rules[shop] = (discount, threshold)
-        elif kind == "OFFER":
-            if len(tokens) != 4:
-                raise ParseError(no, "expected 'OFFER <book> <shop> <price>'")
-            book = _index(tokens[1], no, "book", num_books)
-            shop = _index(tokens[2], no, "shop", num_shops)
-            if (book, shop) in offers:
-                raise ParseError(no, f"duplicate offer for book {book + 1} at shop {shop + 1}")
-            price = _int(tokens[3], no, "price")
-            if price < 0:
-                raise ParseError(no, "price must be non-negative")
-            offers[(book, shop)] = price
         elif kind == "BUDGET":
             if len(tokens) != 2:
                 raise ParseError(no, "expected 'BUDGET <value>'")
@@ -104,12 +119,7 @@ def parse_instance(text: str) -> Instance:
     for shop in range(num_shops):
         if shop not in rules:
             raise ParseError(None, f"missing SHOP line for shop {shop + 1}")
-    return make_instance(
-        num_books,
-        [rules[s] for s in range(num_shops)],
-        [(b, s, p) for (b, s), p in offers.items()],
-        budget,
-    )
+    return make_instance(num_books, [rules[s] for s in range(num_shops)], offers, budget)
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -14,8 +14,10 @@ All indices are dense and 0-based.  Money is plain ``int`` throughout.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -65,21 +67,23 @@ class Instance:
                 raise NegativeValue(f"discount of shop s{s + 1}", rule.discount)
             if rule.threshold < 0:
                 raise NegativeValue(f"threshold of shop s{s + 1}", rule.threshold)
-        seen: set[tuple[int, int]] = set()
-        for o in self.offers:
-            if not 0 <= o.book < self.num_books:
-                raise DanglingIndex("book", o.book, self.num_books)
-            if not 0 <= o.shop < self.num_shops:
-                raise DanglingIndex("shop", o.shop, self.num_shops)
-            if o.price < 0:
-                raise NegativeValue(f"price of book b{o.book + 1} at shop s{o.shop + 1}", o.price)
-            if (o.book, o.shop) in seen:
-                raise InputError(f"duplicate offer for book b{o.book + 1} at shop s{o.shop + 1}")
-            seen.add((o.book, o.shop))
-        covered = {o.book for o in self.offers}
-        if len(covered) < self.num_books:
+        n, m = self.num_books, self.num_shops
+        seen: set[int] = set()  # book * m + shop
+        for book, shop, price in self.offers:
+            if not 0 <= book < n:
+                raise DanglingIndex("book", book, n)
+            if not 0 <= shop < m:
+                raise DanglingIndex("shop", shop, m)
+            if price < 0:
+                raise NegativeValue(f"price of book b{book + 1} at shop s{shop + 1}", price)
+            key = book * m + shop
+            if key in seen:
+                raise InputError(f"duplicate offer for book b{book + 1} at shop s{shop + 1}")
+            seen.add(key)
+        covered = {key // m for key in seen}
+        if len(covered) < n:
             # The first gap is among the first len(covered) + 1 books.
-            book = next(b for b in range(self.num_books) if b not in covered)
+            book = next(b for b in range(n) if b not in covered)
             raise InputError(f"book b{book + 1} is offered by no shop")
 
     @property
@@ -95,8 +99,8 @@ class Instance:
     def offers_by_book(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per book, the (shop, price) pairs offering it, ascending by shop."""
         per_book: list[list[tuple[int, int]]] = [[] for _ in range(self.num_books)]
-        for o in self.offers:
-            per_book[o.book].append((o.shop, o.price))
+        for book, shop, price in self.offers:
+            per_book[book].append((shop, price))
         return tuple(tuple(sorted(pairs)) for pairs in per_book)
 
     @cached_property
@@ -108,17 +112,18 @@ class Instance:
     def books_by_shop(self) -> tuple[tuple[int, ...], ...]:
         """Per shop, the books it sells, ascending."""
         per_shop: list[list[int]] = [[] for _ in range(self.num_shops)]
-        for o in self.offers:
-            per_shop[o.shop].append(o.book)
-        return tuple(tuple(sorted(books)) for books in per_shop)
+        for book, pairs in enumerate(self.offers_by_book):
+            for shop, _ in pairs:
+                per_shop[shop].append(book)
+        return tuple(map(tuple, per_shop))
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """An evaluated assignment.
 
-    ``choice[b]`` is the shop book b is bought at; ``per_shop_spend`` maps
-    every shop (including unused ones) to its pre-discount spend;
+    ``choice[b]`` is the shop book b is bought at; ``per_shop_spend[s]`` is
+    the pre-discount spend at shop s, for every shop (including unused ones);
     ``total_discount`` is the sum of earned discounts and ``total_cost`` the
     discounted grand total.
     """
@@ -126,7 +131,7 @@ class SolveResult:
     choice: tuple[int, ...]
     total_cost: int
     total_discount: int
-    per_shop_spend: dict[int, int]
+    per_shop_spend: tuple[int, ...]
 
 
 def discount_earned(rule: DiscountRule, spend: int) -> int:
@@ -163,24 +168,24 @@ def evaluate_assignment(instance: Instance, choice: Sequence[int]) -> SolveResul
         raise InputError(f"the solution assigns book b{len(choice) + 1} to no shop")
     if len(choice) > instance.num_books:
         raise DanglingIndex("book", instance.num_books, instance.num_books)
-    spends = {s: 0 for s in range(instance.num_shops)}
-    gross = 0
+    spends = [0] * instance.num_shops
+    offers_by_book = instance.offers_by_book
     for book, shop in enumerate(choice):
         if not 0 <= shop < instance.num_shops:
             raise DanglingIndex("shop", shop, instance.num_shops)
-        price = instance.price.get((book, shop))
-        if price is None:
+        pairs = offers_by_book[book]
+        i = bisect_left(pairs, (shop,))
+        if i == len(pairs) or pairs[i][0] != shop:
             raise InputError(f"no offer for book b{book + 1} at shop s{shop + 1}")
-        spends[shop] += price
-        gross += price
+        spends[shop] += pairs[i][1]
     total_discount = sum(
         discount_earned(rule, spends[s]) for s, rule in enumerate(instance.rules)
     )
     return SolveResult(
         choice=choice,
-        total_cost=gross - total_discount,
+        total_cost=sum(spends) - total_discount,
         total_discount=total_discount,
-        per_shop_spend=spends,
+        per_shop_spend=tuple(spends),
     )
 
 
@@ -197,6 +202,6 @@ def make_instance(
     return Instance(
         num_books=num_books,
         rules=tuple(DiscountRule(d, t) for d, t in rules),
-        offers=tuple(sorted(Offer(b, s, p) for b, s, p in offers)),
+        offers=tuple(map(tuple.__new__, repeat(Offer), sorted(offers))),
         budget=budget,
     )

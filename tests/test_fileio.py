@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from clevershopper import (
@@ -71,7 +74,7 @@ class TestParseInstance:
 
     def test_duplicate_offer_line(self):
         text = "CLEVERSHOP 1\nBOOKS 1\nSHOPS 1\nSHOP 1 0 0\nOFFER 1 1 1\nOFFER 1 1 2\n"
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^line 6: duplicate offer for book 1 at shop 1$"):
             parse_instance(text)
 
     def test_duplicate_budget_line(self):
@@ -79,7 +82,7 @@ class TestParseInstance:
             "CLEVERSHOP 1\nBOOKS 1\nSHOPS 1\nSHOP 1 0 0\nOFFER 1 1 1\n"
             "BUDGET 4\nBUDGET 5\n"
         )
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^line 7: duplicate BUDGET line$"):
             parse_instance(text)
 
     def test_missing_shop_line(self):
@@ -102,12 +105,69 @@ class TestParseInstance:
 
     def test_negative_price_rejected(self):
         text = "CLEVERSHOP 1\nBOOKS 1\nSHOPS 1\nSHOP 1 0 0\nOFFER 1 1 -2\n"
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^line 5: price must be non-negative$"):
             parse_instance(text)
 
     def test_budget_parsed(self):
         text = "CLEVERSHOP 1\nBOOKS 1\nSHOPS 1\nSHOP 1 0 0\nOFFER 1 1 1\nBUDGET 7\n"
         assert parse_instance(text).budget == 7
+
+
+TWO = "CLEVERSHOP 1\nBOOKS 2\nSHOPS 2\n"
+TWO_RULES = TWO + "SHOP 1 1 1\nSHOP 2 1 1\n"
+ONE_OFFER = TWO_RULES + "OFFER 1 1 1\n"
+BOTH_OFFERS = ONE_OFFER + "OFFER 2 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (TWO + "SHOP 1 1\n", "line 4: expected 'SHOP <id> <discount> <threshold>'"),
+        (TWO + "SHOP x 1 1\n", "line 4: expected an integer shop id, got 'x'"),
+        (TWO + "SHOP 0 1 1\n", "line 4: shop id 0 out of range 1..2"),
+        (TWO + "SHOP 3 -1 x\n", "line 4: shop id 3 out of range 1..2"),
+        (TWO + "SHOP 1 1 1\nSHOP 1 1 1\n", "line 5: duplicate SHOP line for shop 1"),
+        (TWO + "SHOP 1 x 1\n", "line 4: expected an integer discount, got 'x'"),
+        (TWO + "SHOP 1 1 x\n", "line 4: expected an integer threshold, got 'x'"),
+        (TWO + "SHOP 1 1 -1\n", "line 4: discount and threshold must be non-negative"),
+        (TWO + "SHOP 1 1 1\nOFFER 1 1 1\nOFFER 2 1 1\n", "missing SHOP line for shop 2"),
+        (TWO_RULES + "OFFER 1 1\n", "line 6: expected 'OFFER <book> <shop> <price>'"),
+        (TWO_RULES + "OFFER 1 1 1 1\n", "line 6: expected 'OFFER <book> <shop> <price>'"),
+        (TWO_RULES + "OFFER x 1 1\n", "line 6: expected an integer book, got 'x'"),
+        (TWO_RULES + "OFFER 0 1 1\n", "line 6: book 0 out of range 1..2"),
+        (TWO_RULES + "OFFER 3 1 1\n", "line 6: book 3 out of range 1..2"),
+        (TWO_RULES + "OFFER 0 1 -1\n", "line 6: book 0 out of range 1..2"),
+        (TWO_RULES + "OFFER 1 x 1\n", "line 6: expected an integer shop, got 'x'"),
+        (TWO_RULES + "OFFER 1 3 1\n", "line 6: shop 3 out of range 1..2"),
+        (TWO_RULES + "OFFER 1 0 x\n", "line 6: shop 0 out of range 1..2"),
+        (TWO_RULES + "OFFER 1 1 1.5\n", "line 6: expected an integer price, got '1.5'"),
+        (TWO_RULES + "OFFER 1 1 -1\n", "line 6: price must be non-negative"),
+        (ONE_OFFER + "OFFER 1 1 2\n", "line 7: duplicate offer for book 1 at shop 1"),
+        (ONE_OFFER + "OFFER 1 1 x\n", "line 7: duplicate offer for book 1 at shop 1"),
+        (ONE_OFFER + "OFFER 1 1 -3\n", "line 7: duplicate offer for book 1 at shop 1"),
+        (ONE_OFFER + "OFFER 2 1 1  # note\nOFFER\t2\t2\t-1\n",
+         "line 8: price must be non-negative"),
+        (ONE_OFFER, "book b2 is offered by no shop"),
+        (ONE_OFFER + "PRICE 2 1 1\n", "line 7: unknown directive 'PRICE'"),
+        (BOTH_OFFERS + "BUDGET\n", "line 8: expected 'BUDGET <value>'"),
+        (BOTH_OFFERS + "BUDGET x\n", "line 8: expected an integer budget, got 'x'"),
+        (BOTH_OFFERS + "BUDGET 1\nBUDGET 2\n", "line 9: duplicate BUDGET line"),
+    ],
+    ids=[
+        "shop-arity", "shop-id-integer", "shop-id-zero", "shop-id-before-values",
+        "shop-duplicate", "discount-integer", "threshold-integer", "threshold-negative",
+        "shop-missing", "offer-three-tokens", "offer-five-tokens", "book-integer",
+        "book-zero", "book-past-end", "bad-book-before-negative-price", "shop-integer",
+        "shop-past-end", "bad-shop-before-bad-price", "price-integer", "price-negative",
+        "offer-duplicate", "duplicate-before-bad-price", "duplicate-before-negative-price",
+        "comment-and-tabs", "book-uncovered", "unknown-directive", "budget-arity",
+        "budget-integer", "budget-duplicate",
+    ],
+)
+def test_parse_instance_messages(text, message):
+    with pytest.raises(InputError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message
 
 
 class TestSerializeInstance:
@@ -123,8 +183,6 @@ class TestSerializeInstance:
         assert "BUDGET" not in text
 
     def test_budget_written_last(self, five_books):
-        from dataclasses import replace
-
         inst = replace(five_books, budget=34)
         assert serialize_instance(inst).splitlines()[-1] == "BUDGET 34"
 
@@ -134,6 +192,21 @@ class TestSerializeInstance:
                 1 + seed % 7, 1 + seed % 5, max_price=9, seed=seed
             )
             assert parse_instance(serialize_instance(inst)) == inst
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_line_order_and_comments_do_not_matter(self, seed):
+        inst = replace(random_instance(9, 4, max_price=9, seed=seed), budget=seed)
+        canonical = serialize_instance(inst)
+        header, body = canonical.splitlines()[:3], canonical.splitlines()[3:]
+        rng = random.Random(seed)
+        rng.shuffle(body)
+        noisy = [f"{line}  # note {i}" if i % 3 else f"\t{line}\n" for i, line in enumerate(body)]
+        parsed = parse_instance("\n".join(["# shuffled", *header, *noisy]) + "\n")
+        assert parsed == inst
+        assert parsed.offers_by_book == inst.offers_by_book
+        assert parsed.books_by_shop == inst.books_by_shop
+        assert parsed.cheapest == inst.cheapest
+        assert serialize_instance(parsed) == canonical
 
     def test_byte_determinism(self, five_books):
         a = serialize_instance(five_books)

@@ -178,7 +178,14 @@ class TestEvaluate:
         result = evaluate_assignment(five_books, (0, 2, 3, 3, 4))
         assert result.total_cost == 34
         assert result.total_discount == 9  # three shops at 3 each
-        assert result.per_shop_spend == {0: 12, 1: 0, 2: 11, 3: 13, 4: 7}
+        assert result.per_shop_spend == (12, 0, 11, 13, 7)
+
+    def test_result_hashes_by_value(self, five_books):
+        a = evaluate_assignment(five_books, (0, 2, 3, 3, 4))
+        b = evaluate_assignment(five_books, [0, 2, 3, 3, 4])
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b, evaluate_assignment(five_books, (0, 1, 1, 3, 4))}) == 2
 
     def test_no_discount_when_thresholds_unreachable(self):
         inst = make_instance(2, [(5, 100)], [(0, 0, 3), (1, 0, 4)])
@@ -189,6 +196,25 @@ class TestEvaluate:
     def test_offer_missing(self, five_books):
         with pytest.raises(InputError, match="no offer for book b1 at shop s2"):
             evaluate_assignment(five_books, (1, 0, 1, 3, 4))
+
+    @pytest.mark.parametrize(
+        "choice, message",
+        [
+            ((0, 1, 0, 3, 4), "no offer for book b3 at shop s1"),
+            ((0, 2, 3, 3, 3), "no offer for book b5 at shop s4"),
+            ((0, 2, 3, 3, 5), "shop s6 out of range (have 5)"),
+            ((0, -1, 3, 3, 4), "shop s0 out of range (have 5)"),
+        ],
+        ids=["before-first-offer", "last-book", "shop-past-end", "shop-negative"],
+    )
+    def test_choice_outside_the_offers(self, five_books, choice, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            evaluate_assignment(five_books, choice)
+
+    def test_offer_missing_between_offers(self):
+        inst = make_instance(1, [(0, 0)] * 3, [(0, 2, 1), (0, 0, 1)])
+        with pytest.raises(InputError, match="^no offer for book b1 at shop s2$"):
+            evaluate_assignment(inst, (1,))
 
     def test_short_choice_rejected(self, five_books):
         with pytest.raises(InputError, match="the solution assigns book b3 to no shop"):
