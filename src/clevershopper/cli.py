@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 solved / feasible / check passed, 1 infeasible budget or
-failed check, 2 bad input, 3 solver size cap.
+failed check, 2 bad input or an unwritable output, 3 solver size cap.
 
 ``solve`` and ``check`` give a budget verdict against ``--budget`` if it
 is given, else the instance file's BUDGET line; the library functions
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -180,12 +181,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         result = run_algorithm(args.algo, instance)
 
-    _print_result(instance, result)
+    # The file comes first, so a reader that closes stdout early cannot
+    # stop it being written.
     if args.output:
         header = "" if args.seedless else (
             f"# instance: {Path(args.input).name}\n# algorithm: {args.algo}\n"
         )
         Path(args.output).write_text(header + serialize_solution(result))
+    _print_result(instance, result)
     if budget is not None and result.total_cost > budget:
         print(f"no: cost {result.total_cost} exceeds budget {budget}")
         return EXIT_NO
@@ -300,12 +303,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a reader that has gone fails it here
+        return code
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError as exc:
+        # The reader is gone (``solve ... | head``).  Point stdout at
+        # devnull, or the flush at exit fails a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

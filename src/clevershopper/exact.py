@@ -12,8 +12,11 @@
   plan: a vector is dropped once even buying every remaining book at its
   cheapest shop and earning every discount still in reach costs more.
   Among several cheapest plans, the one with the smallest final spend
-  vector is returned.  ``price_vector_dp`` answers a budget question
-  with that plan as the witness for yes, or None for no.
+  vector is returned, traced back book by book, from the last, to the
+  lexicographically smallest kept vector before it; the DP finds that
+  one by trying each book's offers in shop order, zero prices last, and
+  keeping the first to reach a vector.  ``price_vector_dp`` answers a
+  budget question with that plan as the witness for yes, or None for no.
 * ``matching2_min_cost``: every shop sells at most two books.  Reduces to
   maximum-weight matching in a graph whose edges are the shops' earning
   sets: a one-book set joins the book to the shop, a two-book set joins
@@ -172,7 +175,8 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     the bound is dropped.  The bound is the cost of the cheapest plan, or
     ``budget`` if that is lower; returns None when every plan costs more
     than ``budget``.  Among several cheapest plans, returns the one whose
-    final spend vector is smallest.
+    final spend vector is smallest, and of those the one that traces each
+    vector back to its lexicographically smallest kept predecessor.
     """
     m = instance.num_shops
     if m > MAX_SHOPS_DP:
@@ -194,42 +198,50 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         for shop, price in instance.offers_by_book[b]:
             need[b][shop] -= price
 
-    # layers[i] maps each kept spend vector after books 0..i-1 to a
-    # back-pointer (previous vector, shop chosen for book i-1).  Iteration
-    # in sorted order with first-writer-wins keeps everything deterministic.
+    # layers[i] maps each kept spend vector after books 0..i-1 to the shop
+    # chosen for book i-1; the vector before it is this one less that
+    # shop's price for the book.  Offers pass over the layer one at a time,
+    # in shop order with zero prices last, and a vector keeps the first to
+    # reach it: its lexicographically smallest kept predecessor.  A positive
+    # price lowers one entry, an earlier one for a lower shop, and a zero
+    # price keeps the vector, larger than any other (ties to the lower shop).
     start: tuple[int, ...] = (0,) * m
-    layers: list[dict[tuple[int, ...], tuple[tuple[int, ...], int] | None]] = [{start: None}]
+    layers: list[dict[tuple[int, ...], int]] = [{start: -1}]
     total = 1
     for b in range(n):
         reach = need[b + 1]
         slack = bound - rest[b + 1]
-        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {}
+        nxt: dict[tuple[int, ...], int] = {}
         room = MAX_STATES - total  # for this layer's vectors
         # Each state adds at most one vector per offer of book b, so a
         # layer within this product cannot pass the cap and skips the test.
         offers = instance.offers_by_book[b]
         capped = len(layers[-1]) * len(offers) > room
-        for state in sorted(layers[-1]):
-            # A successor's LB - R_(b+1) is base + the price of book b, less
-            # the discount of its shop if that price lifts the spend there
-            # to ``reach``: base counts the discounts already in reach.
+        # A successor's LB - R_(b+1) is base + the price of book b, less
+        # the discount of its shop if that price lifts the spend there to
+        # ``reach``: base counts the discounts already in reach.
+        bases = []
+        for state in layers[-1]:
             base = sum(state)
             for s in shops:
                 if state[s] >= reach[s]:
                     base -= discount[s]
-            for shop, price in offers:
-                spend = state[shop]
-                lb = base + price
-                if spend < reach[shop] <= spend + price:
-                    lb -= discount[shop]
-                if lb > slack:
-                    continue
-                ns = state[:shop] + (spend + price,) + state[shop + 1 :]
-                if ns not in nxt:
-                    nxt[ns] = (state, shop)
-            if capped and len(nxt) > room:
-                size = total + len(nxt)
-                raise ResourceLimitError(f"reachable state count {size} exceeds cap {MAX_STATES}")
+            bases.append(base)
+        if instance.cheapest[b][1] == 0:  # zero prices go last, see above
+            offers = sorted(offers, key=lambda offer: offer[1] == 0)
+        for shop, price in offers:
+            cut = slack - price
+            for state, base in zip(layers[-1], bases):
+                if base > cut:
+                    spend = state[shop]
+                    if base - discount[shop] > cut or not spend < reach[shop] <= spend + price:
+                        continue
+                nxt.setdefault(state[:shop] + (state[shop] + price,) + state[shop + 1 :], shop)
+                if capped and len(nxt) > room:
+                    size = total + len(nxt)
+                    raise ResourceLimitError(
+                        f"reachable state count {size} exceeds cap {MAX_STATES}"
+                    )
         total += len(nxt)
         layers.append(nxt)
 
@@ -243,9 +255,11 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
 
     claims = []  # every book, at the shop the DP chose for it
     for b in range(n - 1, -1, -1):
-        back = layers[b + 1][state]
-        assert back is not None
-        state, shop = back
+        shop = layers[b + 1][state]
+        for s, price in instance.offers_by_book[b]:
+            if s == shop:
+                break
+        state = state[:shop] + (state[shop] - price,) + state[shop + 1 :]
         claims.append((b, shop))
     return _claimed_plan(instance, claims, rest[0] - best_cost)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -792,3 +793,37 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "solve" in proc.stdout
     assert "generate" in proc.stdout
+
+
+def test_reader_that_closes_stdout_early(capsys, tmp_path):
+    # About 140 KB of shop lines: more than the pipe and both buffers
+    # hold, so printing fails once the reader has gone, as under
+    # ``solve ... | head -1``.
+    inst, sol = tmp_path / "g.cshop", tmp_path / "g.sol"
+    inst.write_text(serialize_instance(random_instance(20_000, 4, fixed_prices=True, seed=5)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clevershopper", "solve", "--input", str(inst),
+         "--algo", "greedy", "--output", str(sol)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline().startswith("cost ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.startswith("error: cannot write stdout: [Errno 32] Broken pipe")
+    assert "Traceback" not in err
+    assert run_cli(capsys, "check", "--input", str(inst), "--solution", str(sol))[0] == 0
+
+
+def test_reader_gone_before_buffered_output_is_flushed(five_books_path):
+    # A few lines stay in stdout's buffer until the flush at the end of
+    # ``main``, which must meet the closed pipe there and not at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clevershopper", "solve", "--input", str(five_books_path),
+         "--algo", "oracle"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -114,15 +115,15 @@ class TestOptimization:
 
     @pytest.mark.parametrize("cap", [100, 10_000])
     def test_state_cap_checked_within_a_layer(self, monkeypatch, cap):
-        # The count is checked after each state of a layer, so the refusal
-        # comes before one layer can grow to m times the one before: one
-        # state adds at most one vector per shop.
+        # The count is checked after each new vector of a layer, so the
+        # refusal comes before one layer can grow to m times the one
+        # before, and it names the first count past the cap.
         inst = from_bin_packing((3, 5, 7, 2, 4, 6, 1, 8, 9, 3, 4, 8), 4, 15).instance
         monkeypatch.setattr(exact, "MAX_STATES", cap)
         with pytest.raises(ResourceLimitError, match=rf"exceeds cap {cap}$") as refused:
             price_vector_min_cost(inst)
         size = re.match(r"reachable state count (\d+) ", str(refused.value))
-        assert int(size[1]) <= cap + inst.num_shops
+        assert int(size[1]) == cap + 1
 
     def test_tie_break_keeps_smallest_spend_vector(self):
         # among equal-cost endings the lexicographically smallest per-shop
@@ -133,6 +134,32 @@ class TestOptimization:
             [(0, 0, 5), (0, 1, 5), (1, 0, 5), (1, 1, 5)],
         )
         assert price_vector_min_cost(inst).choice == (1, 1)
+
+    def test_which_cheapest_plan_is_returned(self):
+        # The plan is pinned, not only its cost: the smallest final spend
+        # vector, then, from the last book back, a positive price before a
+        # zero one and the lower shop first.  Zero prices make ties common.
+        rng = random.Random(18)
+        for _ in range(300):
+            n, m = rng.randint(1, 6), rng.randint(1, 4)
+            rules = [(rng.randint(0, 8), rng.randint(0, 12)) for _ in range(m)]
+            offers = []
+            for b in range(n):
+                for s in rng.sample(range(m), rng.randint(1, m)):
+                    offers.append((b, s, 0 if rng.random() < 0.25 else rng.randint(1, 6)))
+            inst = make_instance(n, rules, offers)
+            price = {(b, s): p for b, s, p in offers}
+
+            def key(result):
+                tail = tuple((price[b, result.choice[b]] == 0, result.choice[b])
+                             for b in reversed(range(n)))
+                return (result.total_cost, result.per_shop_spend, tail)
+
+            plans = itertools.product(*([s for s, _ in pairs] for pairs in inst.offers_by_book))
+            best = min((evaluate_assignment(inst, c) for c in plans), key=key)
+            for budget in (None, best.total_cost, best.total_cost + rng.randint(1, 5)):
+                assert price_vector_min_cost(inst, budget) == best
+            assert price_vector_min_cost(inst, best.total_cost - 1) is None
 
     def test_deterministic(self):
         for seed in range(10):
