@@ -74,7 +74,7 @@ def run_bench(
 ) -> dict:
     """Run every algorithm on every instance file, each under ``timeout``.
 
-    Statuses: ok, timeout, cap (size-cap exceeded), input-error, error.
+    Statuses: ok, timeout, cap (a solver cap refused it), input-error, error.
     When the oracle finishes on an instance, every other ok record for it
     gets a ``gap`` field (its cost minus the oracle cost).
     """

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 solved / feasible / check passed, 1 infeasible budget or
-failed check, 2 bad input or an unwritable output, 3 solver size cap.
+failed check, 2 bad input or an unwritable output, 3 solver cap.
 
 ``solve`` and ``check`` give a budget verdict against ``--budget`` if it
 is given, else the instance file's BUDGET line; the library functions
@@ -279,6 +279,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
+    if not directory.is_dir():
+        raise InputError(f"cannot read {args.dir}: not a directory")
     paths = sorted(directory.glob("*.cshop"))
     if not paths:
         raise EmptyInput(f"instance directory {args.dir}")

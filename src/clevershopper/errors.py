@@ -4,7 +4,8 @@ Two families matter to callers: ``InputError`` covers malformed or
 out-of-contract data (bad files, input types such as ``Instance`` that
 fail their own checks when built, violated solver preconditions) and
 maps to CLI exit code 2, while ``ResourceLimitError`` covers instances
-that exceed a solver's configured size caps and maps to CLI exit code 3.
+that would take a solver past its configured caps on work or memory
+and maps to CLI exit code 3.
 Nothing in the package tells errors apart below these two, so a raise
 site uses a family directly, and a subclass exists only where several
 raise sites share its message format.
@@ -27,7 +28,7 @@ class InputError(CleverShopperError):
 
 
 class ResourceLimitError(CleverShopperError):
-    """Instance exceeds a solver's configured size cap."""
+    """Instance would take a solver past one of its configured caps."""
 
 
 class NegativeValue(InputError):

@@ -48,10 +48,10 @@ from .model import (
     evaluate_assignment,
 )
 
-# Size caps, read when a solver is called; past them a solver raises a
-# ``ResourceLimitError`` instead of running.
-MAX_BOOKS = 20  # subset_dp_min_cost
-MAX_SHOPS_DP = 4  # price_vector_min_cost
+# Caps, read when a solver is called; past them a solver raises a
+# ``ResourceLimitError`` instead of running.  Both DPs keep at most
+# MAX_STATES entries and take at most 16 * MAX_STATES steps: 16 is four
+# offers of a book, each building a spend vector of four shops.
 MAX_STATES = 2_000_000  # DP entries of price_vector_min_cost and subset_dp_min_cost
 MAX_SHOPS_FSTAR = 20  # fstar_unit_price_min_cost
 
@@ -89,6 +89,14 @@ def _earning_sets(instance: Instance, shop: int) -> list[tuple[int, int]]:
     return sets
 
 
+def _add_steps(steps: int, more: int) -> int:
+    """``steps + more``, refused past the DPs' step cap of 16 * MAX_STATES."""
+    steps += more
+    if steps > 16 * MAX_STATES:
+        raise ResourceLimitError(f"step count {steps} exceeds cap {16 * MAX_STATES}")
+    return steps
+
+
 def _claimed_plan(
     instance: Instance, claims: Iterable[tuple[int, int]], saving: int
 ) -> SolveResult:
@@ -118,16 +126,24 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
     shops are disjoint.  ``best[B]`` is the largest total saving of the
     shops so far whose claimed books are exactly ``B``.  Returns one
     cheapest plan; which one, among equally cheap plans, is not fixed.
-    """
-    n = instance.num_books
-    if n > MAX_BOOKS:
-        raise ResourceLimitError(f"instance has {n} books, solver cap is {MAX_BOOKS}")
 
+    Refuses a shop whose 2^k subset tables (k books sold) exceed
+    ``MAX_STATES``, more than ``MAX_STATES`` states and back-pointers, or
+    more than 16 * ``MAX_STATES`` steps: each shop's table fill, its copy
+    of ``best`` and its (state, earning set) pairs, counted before its pass.
+    """
     best = {0: 0}
     came_from: list[dict[int, int]] = []  # per shop: state it improved -> state before
     pointers = 0
+    steps = 0
     for s in range(instance.num_shops):
+        k = len(instance.books_by_shop[s])
+        if 1 << k > MAX_STATES:
+            raise ResourceLimitError(
+                f"shop s{s + 1} sells {k} books, its 2^{k} subset tables exceed cap {MAX_STATES}"
+            )
         sets = _earning_sets(instance, s)
+        steps = _add_steps(steps, (1 << k) + len(best) * (1 + len(sets)))
         after = dict(best)
         back: dict[int, int] = {}
         room = MAX_STATES - pointers  # for this shop's states and back-pointers
@@ -151,7 +167,7 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
     claims = []
     for s in range(instance.num_shops - 1, -1, -1):
         prev = came_from[s].get(state, state)
-        claims += [(b, s) for b in range(n) if (state ^ prev) >> b & 1]
+        claims += [(b, s) for b in instance.books_by_shop[s] if (state ^ prev) >> b & 1]
         state = prev
     assert state == 0
     return _claimed_plan(instance, claims, saving)
@@ -177,11 +193,17 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     than ``budget``.  Among several cheapest plans, returns the one whose
     final spend vector is smallest, and of those the one that traces each
     vector back to its lexicographically smallest kept predecessor.
+
+    Refuses more than ``MAX_STATES`` kept vectors, or more than
+    16 * ``MAX_STATES`` steps: the n * m entries of ``need``, checked
+    before it is built, then an m-tuple per (vector, offer) pair, counted
+    before each offer's pass.  At m <= 4 the vector cap refuses first
+    unless n * m alone passes the step cap: at most four offers of a book
+    pass over each kept vector, at four steps each.
     """
     m = instance.num_shops
-    if m > MAX_SHOPS_DP:
-        raise ResourceLimitError(f"instance has {m} shops, solver cap is {MAX_SHOPS_DP}")
     n = instance.num_books
+    _add_steps(0, n * m)  # the need table, before it is built
     shops = range(m)
     discount = [rule.discount for rule in instance.rules]
 
@@ -208,6 +230,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     start: tuple[int, ...] = (0,) * m
     layers: list[dict[tuple[int, ...], int]] = [{start: -1}]
     total = 1
+    steps = 0  # an m-tuple built per (vector, offer) pair
     for b in range(n):
         reach = need[b + 1]
         slack = bound - rest[b + 1]
@@ -230,6 +253,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         if instance.cheapest[b][1] == 0:  # zero prices go last, see above
             offers = sorted(offers, key=lambda offer: offer[1] == 0)
         for shop, price in offers:
+            steps = _add_steps(steps, len(bases) * m)
             cut = slack - price
             for state, base in zip(layers[-1], bases):
                 if base > cut:

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clevershopper import (
+    brute_force_min_cost,
+    from_partition,
     make_instance,
     parse_instance,
     parse_solution,
@@ -170,13 +172,23 @@ class TestSolve:
     @pytest.mark.parametrize(
         "algo, instance, flags, max_states, message",
         [
+            # 21 books and 5 shops are within the DPs' caps: exit 0.
             pytest.param(
-                "subset-dp", random_instance(21, 3, seed=0), [], None,
-                "instance has 21 books, solver cap is 20", id="subset-dp-books",
+                "subset-dp", random_instance(21, 3, seed=0), [], None, None,
+                id="subset-dp-books",
             ),
             pytest.param(
-                "price-dp", random_instance(6, 5, seed=1), [], None,
-                "instance has 5 shops, solver cap is 4", id="price-dp-shops",
+                "price-dp", random_instance(6, 5, seed=1), [], None, None,
+                id="price-dp-shops",
+            ),
+            # 20 equal weights: each shop has C(20, 10) earning sets.
+            pytest.param(
+                "subset-dp", from_partition((1,) * 20).instance, [], None,
+                "step count 34137430958 exceeds cap 32000000", id="subset-dp-steps",
+            ),
+            pytest.param(
+                "price-dp", random_instance(30, 12, seed=1), [], None,
+                "step count 37244904 exceeds cap 32000000", id="price-dp-steps",
             ),
             pytest.param(
                 "fstar", make_instance(1, [(0, 1)] * 21, [(0, s, 1) for s in range(21)]), [],
@@ -201,7 +213,12 @@ class TestSolve:
         big = tmp_path / "big.cshop"
         big.write_text(serialize_instance(instance))
         result = run_cli(capsys, "solve", "--input", str(big), "--algo", algo, *flags)
-        assert result == (3, "", f"error: {message}\n")
+        if message is None:
+            code, out, _ = result
+            assert code == 0
+            assert out.startswith(f"cost {brute_force_min_cost(instance).total_cost}\n")
+        else:
+            assert result == (3, "", f"error: {message}\n")
 
     def test_oracle_on_long_single_offer_file(self, capsys, tmp_path):
         # 3000 books with one offer each: a search space of one assignment,
@@ -750,6 +767,14 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--dir", str(empty))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_directory_that_is_not_one(self, capsys, tmp_path, five_books_path, kind):
+        target = tmp_path / "a.cshop"
+        if kind == "file":
+            target.write_text(five_books_path.read_text())
+        code, out, err = run_cli(capsys, "bench", "--dir", str(target), "--algos", "oracle")
+        assert (code, out, err) == (2, "", f"error: cannot read {target}: not a directory\n")
 
     @pytest.mark.parametrize("timeout", ["nan", "inf", "1e400", "0", "-1"])
     def test_timeout_must_be_positive_and_finite(self, capsys, tmp_path, five_books_path, timeout):

@@ -95,9 +95,26 @@ class TestDecision:
 
 
 class TestOptimization:
-    def test_five_books_too_many_shops(self, five_books):
-        with pytest.raises(ResourceLimitError, match="instance has 5 shops, solver cap is 4"):
-            price_vector_min_cost(five_books)
+    def test_five_books_five_shops(self, five_books):
+        # Five shops are within price-dp's caps.
+        result = price_vector_min_cost(five_books)
+        assert result.total_cost == 34
+        assert evaluate_assignment(five_books, result.choice) == result
+
+    def test_matches_oracle_past_four_shops(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            model = DiscountModel(rng.choice([5, 20]), 0, rng.randint(5, 20))
+            inst = random_instance(
+                rng.randint(1, 6), rng.randint(5, 6), max_price=rng.randint(1, 9),
+                discount_model=model, seed=rng.randrange(10**6),
+            )
+            opt = brute_force_min_cost(inst).total_cost
+            assert price_vector_min_cost(inst).total_cost == opt
+            assert price_vector_dp(inst, opt - 1) is None
+            result = price_vector_dp(inst, opt)
+            assert result is not None and result.total_cost == opt
+            assert evaluate_assignment(inst, result.choice) == result
 
     def test_matches_oracle(self):
         for seed in range(40):
@@ -124,6 +141,31 @@ class TestOptimization:
             price_vector_min_cost(inst)
         size = re.match(r"reachable state count (\d+) ", str(refused.value))
         assert int(size[1]) == cap + 1
+
+    @pytest.mark.parametrize("cap", [5, 10, 100])
+    def test_vector_cap_refuses_first_at_four_shops(self, monkeypatch, cap):
+        # At most four offers of a book pass over each kept vector, at four
+        # steps each, so at m <= 4 the step cap (16 * MAX_STATES) is never
+        # the one that refuses.
+        rng = random.Random(cap)
+        monkeypatch.setattr(exact, "MAX_STATES", cap)
+        refused = 0
+        for _ in range(300):
+            if rng.random() < 0.5:
+                inst = random_instance(
+                    rng.randint(1, 9), rng.randint(1, 4), max_price=rng.randint(1, 12),
+                    discount_model=DiscountModel(rng.randint(0, 20), 0, rng.randint(4, 30)),
+                    seed=rng.randrange(10**6),
+                )
+            else:
+                weights = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 12)))
+                inst = from_partition(weights).instance
+            try:
+                price_vector_min_cost(inst, rng.choice([None, rng.randint(-5, 60)]))
+            except ResourceLimitError as exc:
+                assert str(exc) == f"reachable state count {cap + 1} exceeds cap {cap}"
+                refused += 1
+        assert refused
 
     def test_tie_break_keeps_smallest_spend_vector(self):
         # among equal-cost endings the lexicographically smallest per-shop

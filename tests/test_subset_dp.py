@@ -13,6 +13,7 @@ from clevershopper import (
     brute_force_min_cost,
     evaluate_assignment,
     make_instance,
+    matching2_min_cost,
     random_instance,
     subset_dp_min_cost,
 )
@@ -43,13 +44,27 @@ class TestSubsetDp:
         assert subset_dp_min_cost(inst).total_cost == 8
 
     def test_book_cap(self):
+        # One shop selling 21 books: its 2^21 subset tables pass MAX_STATES.
         inst = make_instance(21, [(0, 1)], [(b, 0, 1) for b in range(21)])
-        with pytest.raises(ResourceLimitError, match="instance has 21 books, solver cap is 20"):
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^shop s1 sells 21 books, its 2\^21 subset tables exceed cap 2000000$",
+        ):
             subset_dp_min_cost(inst)
 
+    def test_matches_matching2_past_twenty_books(self):
+        # Shops selling at most two books keep the tables small at any n;
+        # matching2 gives the cost.
+        for n in range(21, 25):
+            for seed in range(10):
+                inst = random_instance(n, n, shop_degree_cap=2, seed=seed)
+                got = subset_dp_min_cost(inst)
+                assert got.total_cost == matching2_min_cost(inst).total_cost
+                assert evaluate_assignment(inst, got.choice) == got
+
     def test_state_cap(self, monkeypatch):
-        # MAX_BOOKS bounds the 2^k tables of one shop, not the DP itself:
-        # its saving states and back-pointers count against MAX_STATES.
+        # A shop's 2^k tables are bounded on their own: the DP's saving
+        # states and back-pointers count against MAX_STATES.
         inst = random_instance(
             8, 4, unit_prices=True, discount_model=DiscountModel(5, 1, 2), seed=1
         )
