@@ -11,12 +11,17 @@
   at a time, pruned by a lower bound against the budget or the cheapest
   plan: a vector is dropped once even buying every remaining book at its
   cheapest shop and earning every discount still in reach costs more.
-  Among several cheapest plans, the one with the smallest final spend
-  vector is returned, traced back book by book, from the last, to the
-  lexicographically smallest kept vector before it; the DP finds that
-  one by trying each book's offers in shop order, zero prices last, and
-  keeping the first to reach a vector.  ``price_vector_dp`` answers a
-  budget question with that plan as the witness for yes, or None for no.
+  Before the first layer, ``_root_bound`` bounds what any plan can save
+  by a fractional knapsack: a plan spends at least its earning shops'
+  thresholds, so spend past the cheapest prices costs what it adds.  A
+  budget below that bound is below every plan's cost and is answered
+  None without building a layer.  Among several cheapest plans, the one
+  with the smallest final spend vector is returned, traced back book by
+  book, from the last, to the lexicographically smallest kept vector
+  before it; the DP finds that one by trying each book's offers in shop
+  order, zero prices last, and keeping the first to reach a vector.
+  ``price_vector_dp`` answers a budget question with that plan as the
+  witness for yes, or None for no.
 * ``matching2_min_cost``: every shop sells at most two books.  Reduces to
   maximum-weight matching in a graph whose edges are the shops' earning
   sets: a one-book set joins the book to the shop, a two-book set joins
@@ -87,6 +92,42 @@ def _earning_sets(instance: Instance, shop: int) -> list[tuple[int, int]]:
         if saving > 0 and rule.threshold <= spends[ls] < rule.threshold + price:
             sets.append((gmasks[ls], saving))
     return sets
+
+
+def _root_bound(instance: Instance) -> int:
+    """A lower bound on the cost of every plan.
+
+    With R the total of the cheapest prices, a plan whose earning shops are
+    E spends at least R and at least their thresholds, so it costs at least
+    R - (D(E) - max(0, G(E) - R)), with G and D the thresholds and the
+    discounts of E summed.  E holds only shops with a discount whose whole
+    offer list reaches the threshold.  The saving in brackets is bounded by
+    its fractional relaxation: shops go by discount per threshold unit,
+    descending, the first R threshold units earn that ratio and later ones
+    the ratio less 1, taken only while positive.  It is never below R less
+    the discounts of all those shops.
+    """
+    rules = instance.rules
+    rest = sum(price for _, price in instance.cheapest)
+    sells = [0] * instance.num_shops  # what each shop charges for all it sells
+    for _, shop, price in instance.offers:
+        sells[shop] += price
+    earners = sorted(
+        (s for s, rule in enumerate(rules) if rule.discount and sells[s] >= rule.threshold),
+        key=cmp_to_key(lambda a, b: rules[a].threshold * rules[b].discount
+                       - rules[b].threshold * rules[a].discount),
+    )
+    saving = 0
+    room = rest  # threshold units left before spend passes R
+    for s in earners:
+        d, t = rules[s].discount, rules[s].threshold
+        if t <= room:  # threshold-0 shops come first and always fit
+            saving += d
+            room -= t
+        else:  # room units at d/t each, the rest at d/t - 1 if that is positive
+            saving += (d * room + max(0, d - t) * (t - room)) // t
+            room = 0
+    return rest - saving
 
 
 def _add_steps(steps: int, more: int) -> int:
@@ -190,9 +231,13 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     plan extending v costs less than LB(v), so no prefix of a plan within
     the bound is dropped.  The bound is the cost of the cheapest plan, or
     ``budget`` if that is lower; returns None when every plan costs more
-    than ``budget``.  Among several cheapest plans, returns the one whose
-    final spend vector is smallest, and of those the one that traces each
-    vector back to its lexicographically smallest kept predecessor.
+    than ``budget``.  Given a budget, it returns None before the first
+    layer if ``_root_bound``, a lower bound on the cost of every plan,
+    exceeds the bound.  That happens only for a budget below the cheapest
+    plan's cost, and then no plan is within it, so the answer is the one
+    the layers would give.  Among several cheapest plans, returns the one
+    whose final spend vector is smallest, and of those the one that traces
+    each vector back to its lexicographically smallest kept predecessor.
 
     Refuses more than ``MAX_STATES`` kept vectors, or more than
     16 * ``MAX_STATES`` steps: the n * m entries of ``need``, checked
@@ -219,6 +264,8 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         need[b] = list(need[b + 1])
         for shop, price in instance.offers_by_book[b]:
             need[b][shop] -= price
+    if budget is not None and _root_bound(instance) > bound:  # no plan is within it
+        return None
 
     # layers[i] maps each kept spend vector after books 0..i-1 to the shop
     # chosen for book i-1; the vector before it is this one less that

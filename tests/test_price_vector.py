@@ -88,7 +88,9 @@ class TestDecision:
     @pytest.mark.parametrize("last, answer", [(22, True), (23, False)])
     def test_budget_prunes_spend_vectors(self, monkeypatch, last, answer):
         # Without pruning, both gadgets reach about 1,585 spend vectors;
-        # dropping those that cannot meet the budget leaves about 573.
+        # dropping those that cannot meet the budget leaves about 573.  The
+        # "no" gadget has an odd total, so the root bound now answers it
+        # before the first layer.
         gen = from_partition((17, 23, 5, 41, 8, 30, 12, 19, 27, 36, 9, 14, 11, last))
         monkeypatch.setattr(exact, "MAX_STATES", 1_000)
         assert (price_vector_dp(gen.instance, gen.target_budget) is not None) is answer
@@ -209,3 +211,57 @@ class TestOptimization:
             first = price_vector_min_cost(inst)
             assert price_vector_min_cost(inst) == first
             assert evaluate_assignment(inst, first.choice) == first
+
+
+class TestRootBound:
+    def test_below_every_plan(self):
+        # Zero prices, threshold-0 shops, zero discounts, no books and shops
+        # whose offers cannot reach their threshold all occur.
+        rng = random.Random(20)
+        above = 0
+        for _ in range(2_000):
+            n, m = rng.randint(0, 5), rng.randint(1, 4)
+            rules = [(rng.choice([0, rng.randint(1, 12)]), rng.choice([0, rng.randint(1, 25)]))
+                     for _ in range(m)]
+            offers = []
+            for b in range(n):
+                for s in rng.sample(range(m), rng.randint(1, m)):
+                    offers.append((b, s, 0 if rng.random() < 0.2 else rng.randint(1, 9)))
+            inst = make_instance(n, rules, offers)
+            bound = exact._root_bound(inst)
+            assert bound <= brute_force_min_cost(inst).total_cost
+            sells = [sum(p for b, s, p in offers if s == shop) for shop in range(m)]
+            lb0 = sum(p for _, p in inst.cheapest) - sum(
+                d for (d, t), total in zip(rules, sells) if total >= t
+            )
+            assert bound >= lb0
+            above += bound > lb0
+        assert above > 50  # it beats LB0 on 95 of these 2,000
+
+    def test_exact_near_1e18(self):
+        # One book: 10^18 + 1 at s1, whose discount needs all of it, or
+        # 10^17 + 1 at s2.  The bound is tight at -10^17.  The knapsack
+        # floor, taken in floats, comes out one too low, which would lift
+        # the bound past the optimum and answer no at it.
+        inst = make_instance(
+            1, [(11 * 10**17 + 1, 10**18 + 1), (0, 0)], [(0, 0, 10**18 + 1), (0, 1, 10**17 + 1)]
+        )
+        assert exact._root_bound(inst) == -(10**17) == brute_force_min_cost(inst).total_cost
+        result = price_vector_dp(inst, -(10**17))
+        assert result is not None and result.choice == (0,)
+        assert price_vector_dp(inst, -(10**17) - 1) is None
+
+    def test_decides_before_the_first_layer(self, monkeypatch):
+        # With room for one vector only, any layer would be refused.  An
+        # odd total needs both thresholds to sum to one more than any plan
+        # spends.  Three books at 5 can pay for one threshold of 10 and
+        # half of the other, so no plan costs less than 15 - 4 - 2 = 9,
+        # where LB0, R less both discounts, is 7.
+        monkeypatch.setattr(exact, "MAX_STATES", 1)
+        gen = from_partition((3, 1, 1, 2, 2, 2))
+        assert price_vector_dp(gen.instance, gen.target_budget) is None
+        inst = make_instance(3, [(4, 10), (4, 10)], [(b, s, 5) for b in range(3) for s in range(2)])
+        assert exact._root_bound(inst) == 9
+        assert price_vector_dp(inst, 8) is None
+        with pytest.raises(ResourceLimitError, match="reachable state count 2 exceeds cap 1"):
+            price_vector_dp(inst, 9)
