@@ -20,7 +20,7 @@ from .exact import (
     price_vector_min_cost,
     subset_dp_min_cost,
 )
-from .fileio import parse_instance
+from .fileio import parse_instance, read_file
 from .model import Instance, SolveResult
 from .oracle import brute_force_min_cost
 
@@ -47,7 +47,7 @@ def run_algorithm(name: str, instance: Instance) -> SolveResult:
 
 def _worker(path: str, algo: str, conn) -> None:
     try:
-        instance = parse_instance(Path(path).read_text())
+        instance = parse_instance(read_file(path))
         start = time.perf_counter()
         result = run_algorithm(algo, instance)
         elapsed = time.perf_counter() - start

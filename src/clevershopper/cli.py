@@ -26,6 +26,7 @@ from .fileio import (
     parse_graph,
     parse_instance,
     parse_weights,
+    read_file,
     serialize_instance,
     serialize_solution,
 )
@@ -135,13 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-
-
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -170,7 +164,7 @@ def _budget(args: argparse.Namespace, instance: Instance) -> int | None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = parse_instance(_read(args.input))
+    instance = parse_instance(read_file(args.input))
     budget = _budget(args, instance)
 
     if args.algo == "price-dp" and budget is not None:
@@ -210,7 +204,7 @@ def _binpacking(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]
 
 
 def _perfectcode(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
-    graph = parse_graph(_read(args.graph))
+    graph = parse_graph(read_file(args.graph))
     return from_perfect_code(graph, args.k), [f"graph: {args.graph}", f"k: {args.k}"]
 
 
@@ -222,7 +216,7 @@ def _x3c(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
 
 
 def _max3sat(args: argparse.Namespace) -> tuple[GeneratedInstance, list[str]]:
-    cnf = parse_dimacs(_read(args.cnf))
+    cnf = parse_dimacs(read_file(args.cnf))
     return from_max3sat(cnf), [f"cnf: {args.cnf}"]
 
 
@@ -265,8 +259,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    instance = parse_instance(_read(args.input))
-    result, declared = check_solution(instance, _read(args.solution))
+    instance = parse_instance(read_file(args.input))
+    result, declared = check_solution(instance, read_file(args.solution))
     budget = _budget(args, instance)
     matches = declared == result.total_cost
     within = budget is None or result.total_cost <= budget

@@ -39,13 +39,14 @@ saving the solver computed.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .errors import InputError, NegativeValue, ResourceLimitError
 from .matching import WeightedEdge, WeightedGraph, max_weight_matching
 from .model import (
+    DiscountRule,
     Instance,
     SolveResult,
     cheapest_plan,
@@ -55,10 +56,10 @@ from .model import (
 
 # Caps, read when a solver is called; past them a solver raises a
 # ``ResourceLimitError`` instead of running.  Both DPs keep at most
-# MAX_STATES entries and take at most 16 * MAX_STATES steps: 16 is four
-# offers of a book, each building a spend vector of four shops.
+# MAX_STATES entries, and they and fstar take at most 16 * MAX_STATES
+# steps: 16 is four offers of a book, each building a spend vector of
+# four shops.
 MAX_STATES = 2_000_000  # DP entries of price_vector_min_cost and subset_dp_min_cost
-MAX_SHOPS_FSTAR = 20  # fstar_unit_price_min_cost
 
 
 # --- the shared pricing core -------------------------------------------------
@@ -94,6 +95,17 @@ def _earning_sets(instance: Instance, shop: int) -> list[tuple[int, int]]:
     return sets
 
 
+def _by_ratio(rules: Sequence[DiscountRule], shops: Iterable[int]) -> list[int]:
+    """The shops, fewest threshold units per unit of discount first (ties
+    keep their order): the order in which a fractional knapsack takes them.
+    Every shop given must have a discount."""
+    return sorted(
+        shops,
+        key=cmp_to_key(lambda a, b: rules[a].threshold * rules[b].discount
+                       - rules[b].threshold * rules[a].discount),
+    )
+
+
 def _root_bound(instance: Instance) -> int:
     """A lower bound on the cost of every plan.
 
@@ -112,10 +124,9 @@ def _root_bound(instance: Instance) -> int:
     sells = [0] * instance.num_shops  # what each shop charges for all it sells
     for _, shop, price in instance.offers:
         sells[shop] += price
-    earners = sorted(
+    earners = _by_ratio(
+        rules,
         (s for s, rule in enumerate(rules) if rule.discount and sells[s] >= rule.threshold),
-        key=cmp_to_key(lambda a, b: rules[a].threshold * rules[b].discount
-                       - rules[b].threshold * rules[a].discount),
     )
     saving = 0
     room = rest  # threshold units left before spend passes R
@@ -131,7 +142,7 @@ def _root_bound(instance: Instance) -> int:
 
 
 def _add_steps(steps: int, more: int) -> int:
-    """``steps + more``, refused past the DPs' step cap of 16 * MAX_STATES."""
+    """``steps + more``, refused past the step cap of 16 * MAX_STATES."""
     steps += more
     if steps > 16 * MAX_STATES:
         raise ResourceLimitError(f"step count {steps} exceeds cap {16 * MAX_STATES}")
@@ -492,7 +503,8 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
     shop j above S's largest, in increasing j.  Pre-order then visits the
     sorted shop tuples in lexicographic order, so only a strictly cheaper
     set replaces the best one found, and the first cheapest set wins the
-    tie.  Three exact rules prune:
+    tie.  It runs as one loop over ``path``, S's shops in order, so no
+    depth of set recurses.  Three exact rules prune:
 
     * bound: a node's loop stops at the first j where even the most
       discount shops j.. could add, as a fractional knapsack on the books
@@ -502,10 +514,11 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
       and the search goes below S + j only if the flow fills every slot.
       Feasible sets are closed under subsets, so a failed check prunes
       every superset.
+
+    Refuses more than 16 * ``MAX_STATES`` steps: the books, shops and
+    offers of the flow network, counted before each flow check.
     """
     m = instance.num_shops
-    if m > MAX_SHOPS_FSTAR:
-        raise ResourceLimitError(f"instance has {m} shops, solver cap is {MAX_SHOPS_FSTAR}")
     for o in instance.offers:
         if o.price != 1:
             raise InputError(
@@ -514,13 +527,9 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
             )
     n = instance.num_books
     rules = instance.rules
-    # The shops with a discount, fewest threshold books per unit of discount
-    # first: the order in which a fractional knapsack takes them.
-    by_ratio = sorted(
-        (s for s in range(m) if rules[s].discount),
-        key=cmp_to_key(lambda a, b: rules[a].threshold * rules[b].discount
-                       - rules[b].threshold * rules[a].discount),
-    )
+    by_ratio = _by_ratio(rules, (s for s in range(m) if rules[s].discount))
+    network = n + m + len(instance.offers)  # steps charged per flow check
+    steps = 0
     caps = [0] * m  # thresholds of the shops in the current set, 0 elsewhere
     best_cost, best_star = n, ()  # the empty set, first in the order, costs n
 
@@ -540,23 +549,35 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
             room -= t
         return total
 
-    def visit(start: int, disc: int, tsum: int) -> None:
-        """Try each set that adds shops start.. to the current one."""
-        nonlocal best_cost, best_star
-        for j in range(start, m):
-            if n - disc - reach(j, n - tsum) >= best_cost:
-                return  # no set under j, or under a later shop, is cheaper
-            t = rules[j].threshold
-            if tsum + t > n:
-                continue
-            caps[j] = t
-            star = max_fstar_subgraph(instance, StarDegreeBound(tuple(caps)))
-            if len(star) == tsum + t:
-                d = disc + rules[j].discount
-                if n - d < best_cost:
-                    best_cost, best_star = n - d, star
-                visit(j + 1, d, tsum + t)
+    path: list[int] = []  # the current set's shops, ascending
+    disc = tsum = 0  # its discounts and thresholds, summed
+    j = 0  # the next shop to try adding to it
+    while True:
+        # Past the last shop, or once the bound fails, no set under j or a
+        # later shop is cheaper: leave this level for the next shop above.
+        if j == m or n - disc - reach(j, n - tsum) >= best_cost:
+            if not path:
+                break
+            j = path.pop()
             caps[j] = 0
+            disc -= rules[j].discount
+            tsum -= rules[j].threshold
+            j += 1
+            continue
+        t = rules[j].threshold
+        if tsum + t <= n:
+            caps[j] = t
+            steps = _add_steps(steps, network)
+            star = max_fstar_subgraph(instance, StarDegreeBound(tuple(caps)))
+            if len(star) == tsum + t:  # feasible: go below S + j
+                path.append(j)
+                disc += rules[j].discount
+                tsum += t
+                if n - disc < best_cost:
+                    best_cost, best_star = n - disc, star
+                j += 1
+                continue
+            caps[j] = 0
+        j += 1
 
-    visit(0, 0, 0)
     return _claimed_plan(instance, best_star, n - best_cost)  # each book costs 1 at its cheapest

@@ -17,9 +17,22 @@ OFFER lines sorted by (book, shop), budget last.
 
 from __future__ import annotations
 
-from .errors import DanglingIndex, ParseError
+from pathlib import Path
+
+from .errors import DanglingIndex, InputError, ParseError
 from .model import Instance, SolveResult, evaluate_assignment, make_instance
 from .sources import CnfFormula, SimpleGraph
+
+
+def read_file(path: str) -> str:
+    """The text of the file at ``path``, decoded as UTF-8; a file that
+    cannot be read or is not UTF-8 text raises ``InputError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _significant_lines(text: str):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -190,9 +191,14 @@ class TestSolve:
                 "price-dp", random_instance(30, 12, seed=1), [], None,
                 "step count 37244904 exceeds cap 32000000", id="price-dp-steps",
             ),
+            # 21 shops are within fstar's step cap: exit 0.
             pytest.param(
-                "fstar", make_instance(1, [(0, 1)] * 21, [(0, s, 1) for s in range(21)]), [],
-                None, "instance has 21 shops, solver cap is 20", id="fstar-shops",
+                "fstar", make_instance(1, [(1, 1)] * 21, [(0, s, 1) for s in range(21)]), [],
+                None, None, id="fstar-shops",
+            ),
+            pytest.param(
+                "fstar", random_instance(200, 30, unit_prices=True, seed=1), [], 1000,
+                "step count 17563 exceeds cap 16000", id="fstar-steps",
             ),
             pytest.param(
                 "oracle",
@@ -600,6 +606,44 @@ def test_generate_ends_in_a_documented_exit_code(call):
             assert code in (0, 1, 2, 3), argv
 
 
+def byte_mutated(rng: random.Random, text: str) -> bytes:
+    """``text`` as UTF-8 with one byte in ten set to 128..255, so that the
+    result is almost never UTF-8."""
+    return bytes(
+        rng.randint(128, 255) if rng.randrange(10) == 0 else byte for byte in text.encode()
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_byte_mutated_files_end_in_a_documented_exit_code(tmp_path, seed):
+    rng = random.Random(seed)
+    files = {
+        "shop.cshop": FIVE_BOOKS_TEXT, "shop.sol": FIVE_BOOKS_SOLUTION,
+        "g.graph": GRAPH_TEXT, "f.cnf": CNF_TEXT,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(byte_mutated(rng, text))
+    inst, sol = str(tmp_path / "shop.cshop"), str(tmp_path / "shop.sol")
+    runs = [
+        ["check", "--input", inst, "--solution", sol],
+        ["generate", "perfectcode", "--graph", str(tmp_path / "g.graph"), "--k", "2"],
+        ["generate", "max3sat", "--cnf", str(tmp_path / "f.cnf")],
+    ]
+    runs += [["solve", "--input", inst, "--algo", algo] for algo in ALGORITHM_NAMES]
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+
+
+def test_file_that_is_not_utf8_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "shop.cshop"
+    path.write_bytes(FIVE_BOOKS_TEXT.encode().replace(b"OFFER 1 1 12", b"OFFER 1 1 \xff"))
+    code, out, err = run_cli(capsys, "solve", "--input", str(path), "--algo", "oracle")
+    assert (code, out, err) == (2, "", f"error: cannot read {path}: not UTF-8 text\n")
+
+
 class TestCheck:
     def make_pair(self, capsys, tmp_path, five_books_path):
         sol = tmp_path / "good.sol"
@@ -744,6 +788,20 @@ class TestBench:
         assert report["algorithms"] == ["oracle", "subset-dp"]
         assert len(report["results"]) == 4
         assert all(r["status"] == "ok" for r in report["results"])
+
+    def test_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path):
+        bench_dir = tmp_path / "suite"
+        bench_dir.mkdir()
+        (bench_dir / "a.cshop").write_bytes(b"CLEVERSHOP 1\nBOOKS \xff\n")
+        report_file = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "bench", "--dir", str(bench_dir), "--algos", "oracle",
+            "--report", str(report_file),
+        )
+        assert code == 0
+        assert "a.cshop  oracle  input-error" in out
+        [record] = json.loads(report_file.read_text())["results"]
+        assert record["detail"] == f"cannot read {bench_dir / 'a.cshop'}: not UTF-8 text"
 
     def test_unwritable_report_is_an_input_error(self, capsys, tmp_path, five_books_path):
         bench_dir = tmp_path / "suite"

@@ -152,6 +152,9 @@ BOTH_OFFERS = ONE_OFFER + "OFFER 2 1 1\n"
         (BOTH_OFFERS + "BUDGET\n", "line 8: expected 'BUDGET <value>'"),
         (BOTH_OFFERS + "BUDGET x\n", "line 8: expected an integer budget, got 'x'"),
         (BOTH_OFFERS + "BUDGET 1\nBUDGET 2\n", "line 9: duplicate BUDGET line"),
+        # Numbers are what int() takes: line 6 is book 1 at shop 1 for 1000.
+        (TWO_RULES + "OFFER +1 \u0661 1_000\nOFFER \u0663 1 1\n",
+         "line 7: book 3 out of range 1..2"),
     ],
     ids=[
         "shop-arity", "shop-id-integer", "shop-id-zero", "shop-id-before-values",
@@ -161,7 +164,7 @@ BOTH_OFFERS = ONE_OFFER + "OFFER 2 1 1\n"
         "shop-past-end", "bad-shop-before-bad-price", "price-integer", "price-negative",
         "offer-duplicate", "duplicate-before-bad-price", "duplicate-before-negative-price",
         "comment-and-tabs", "book-uncovered", "unknown-directive", "budget-arity",
-        "budget-integer", "budget-duplicate",
+        "budget-integer", "budget-duplicate", "int-syntax",
     ],
 )
 def test_parse_instance_messages(text, message):

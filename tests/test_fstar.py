@@ -20,6 +20,8 @@ from clevershopper import (
     random_instance,
 )
 
+from clevershopper import exact
+
 import bruteforce
 
 
@@ -102,9 +104,26 @@ class TestUnitPriceSolver:
             fstar_unit_price_min_cost(five_books)
 
     def test_shop_cap(self):
-        inst = make_instance(1, [(0, 1)] * 21, [(0, s, 1) for s in range(21)])
-        with pytest.raises(ResourceLimitError, match="instance has 21 shops, solver cap is 20"):
+        # No cap on shops: 21 of them are solved, and the cost is the
+        # oracle's.
+        inst = make_instance(1, [(1, 1)] * 21, [(0, s, 1) for s in range(21)])
+        assert fstar_unit_price_min_cost(inst).total_cost == 0
+        assert brute_force_min_cost(inst).total_cost == 0
+
+    def test_step_cap(self, monkeypatch):
+        # Each flow check charges the 200 books, 30 shops and their offers.
+        monkeypatch.setattr(exact, "MAX_STATES", 1000)
+        inst = random_instance(200, 30, unit_prices=True, seed=1)
+        with pytest.raises(ResourceLimitError, match="^step count 17563 exceeds cap 16000$"):
             fstar_unit_price_min_cost(inst)
+
+    def test_deep_search_does_not_recurse(self):
+        # Every set of threshold-0 shops is feasible, so the search goes
+        # 1,100 sets deep, past Python's default recursion limit.
+        inst = make_instance(1, [(1, 0)] * 1100, [(0, 0, 1)])
+        result = fstar_unit_price_min_cost(inst)
+        assert result.total_cost == 1 - 1100
+        assert result.choice == (0,)
 
     def test_tie_prefers_lower_shops(self):
         # either shop alone can earn its discount, not both; shop 0 wins
