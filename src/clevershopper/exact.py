@@ -141,12 +141,19 @@ def _root_bound(instance: Instance) -> int:
     return rest - saving
 
 
-def _add_steps(steps: int, more: int) -> int:
-    """``steps + more``, refused past the step cap of 16 * MAX_STATES."""
-    steps += more
-    if steps > 16 * MAX_STATES:
-        raise ResourceLimitError(f"step count {steps} exceeds cap {16 * MAX_STATES}")
-    return steps
+class _Steps:
+    """A solver's running step count, refused past the step cap of
+    16 * MAX_STATES."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def add(self, more: int) -> None:
+        self.count += more
+        if self.count > 16 * MAX_STATES:
+            raise ResourceLimitError(f"step count {self.count} exceeds cap {16 * MAX_STATES}")
 
 
 def _claimed_plan(
@@ -187,7 +194,7 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
     best = {0: 0}
     came_from: list[dict[int, int]] = []  # per shop: state it improved -> state before
     pointers = 0
-    steps = 0
+    steps = _Steps()
     for s in range(instance.num_shops):
         k = len(instance.books_by_shop[s])
         if 1 << k > MAX_STATES:
@@ -195,7 +202,7 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
                 f"shop s{s + 1} sells {k} books, its 2^{k} subset tables exceed cap {MAX_STATES}"
             )
         sets = _earning_sets(instance, s)
-        steps = _add_steps(steps, (1 << k) + len(best) * (1 + len(sets)))
+        steps.add((1 << k) + len(best) * (1 + len(sets)))
         after = dict(best)
         back: dict[int, int] = {}
         room = MAX_STATES - pointers  # for this shop's states and back-pointers
@@ -259,7 +266,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     """
     m = instance.num_shops
     n = instance.num_books
-    _add_steps(0, n * m)  # the need table, before it is built
+    _Steps().add(n * m)  # the need table, before it is built
     shops = range(m)
     discount = [rule.discount for rule in instance.rules]
 
@@ -288,7 +295,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     start: tuple[int, ...] = (0,) * m
     layers: list[dict[tuple[int, ...], int]] = [{start: -1}]
     total = 1
-    steps = 0  # an m-tuple built per (vector, offer) pair
+    steps = _Steps()  # an m-tuple built per (vector, offer) pair
     for b in range(n):
         reach = need[b + 1]
         slack = bound - rest[b + 1]
@@ -311,7 +318,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         if instance.cheapest[b][1] == 0:  # zero prices go last, see above
             offers = sorted(offers, key=lambda offer: offer[1] == 0)
         for shop, price in offers:
-            steps = _add_steps(steps, len(bases) * m)
+            steps.add(len(bases) * m)
             cut = slack - price
             for state, base in zip(layers[-1], bases):
                 if base > cut:
@@ -424,11 +431,15 @@ class StarDegreeBound:
     shop_caps: tuple[int, ...]
 
 
-def max_fstar_subgraph(instance: Instance, bound: StarDegreeBound) -> tuple[tuple[int, int], ...]:
+def max_fstar_subgraph(
+    instance: Instance, bound: StarDegreeBound, *, steps: _Steps | None = None
+) -> tuple[tuple[int, int], ...]:
     """Largest set of offers with each book used at most once and each shop
     at most its cap.  Augmenting-path maximum flow on the unit-capacity
     network source -> books (cap 1) -> shops (availability) -> sink (cap
-    per shop); returns the chosen (book, shop) edges.
+    per shop); returns the chosen (book, shop) edges.  Given ``steps``, a
+    solver's running count, each search adds the offers it tried, which
+    is its work: it pushes a book only after trying an offer.
 
     Each shop has ``cap`` interchangeable slots.  A book tries its shops in
     ascending order and, within a shop, the slots in order.  Slots fill
@@ -449,24 +460,27 @@ def max_fstar_subgraph(instance: Instance, bound: StarDegreeBound) -> tuple[tupl
     shop_of = [-1] * n
     free = sum(caps)
 
+    tried = [0] * m  # slots of each shop tried by the search from root,
+    seen = [-1] * m  # counted only where seen[shop] == root
     for root in range(n):
         if not free:
             break  # every slot is held, so no search can succeed
         # Depth-first search for an augmenting path, on an explicit stack:
         # path[i] is a book, at[i] the index of the shop it is trying, and
         # slots[i] the (shop, slot) it would take from path[i + 1].
-        tried = [0] * m
         path, at, slots = [root], [0], []
+        tries = 0
         while path:
             b = path[-1]
             options = shops_of[b]
             while at[-1] < len(options):
+                tries += 1
                 s = options[at[-1]]
-                slot = tried[s]
+                slot = tried[s] if seen[s] == root else 0
                 if slot == caps[s]:
                     at[-1] += 1
                     continue
-                tried[s] += 1
+                seen[s], tried[s] = root, slot + 1
                 if slot == len(holders[s]):  # a free slot: flip the path
                     free -= 1
                     holders[s].append(b)
@@ -485,6 +499,8 @@ def max_fstar_subgraph(instance: Instance, bound: StarDegreeBound) -> tuple[tupl
                 at.pop()
                 if slots:
                     slots.pop()
+        if steps is not None:
+            steps.add(tries)
 
     return tuple((b, s) for b, s in enumerate(shop_of) if s != -1)
 
@@ -506,17 +522,21 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
     tie.  It runs as one loop over ``path``, S's shops in order, so no
     depth of set recurses.  Three exact rules prune:
 
-    * bound: a node's loop stops at the first j where even the most
-      discount shops j.. could add, as a fractional knapsack on the books
-      S leaves free, does not beat the best cost;
     * threshold sum: j is skipped if the thresholds would sum past n;
+    * bound: a node's loop stops at the first j left where even the most
+      discount shops j.. could add, as a fractional knapsack on the books
+      S leaves free, does not beat the best cost.  The knapsack only
+      shrinks as j grows, so no later j would pass;
     * feasibility: the flow runs for S + j only once the bound has passed,
       and the search goes below S + j only if the flow fills every slot.
       Feasible sets are closed under subsets, so a failed check prunes
       every superset.
 
     Refuses more than 16 * ``MAX_STATES`` steps: the books, shops and
-    offers of the flow network, counted before each flow check.
+    offers of the flow network, counted before each flow check, and the
+    offers its searches try.  That pays for the loop too: a node's bound,
+    which scans up to m shops, leads to a check or ends a level that a
+    check opened, and a level skips at most m shops.
     """
     m = instance.num_shops
     for o in instance.offers:
@@ -529,7 +549,7 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
     rules = instance.rules
     by_ratio = _by_ratio(rules, (s for s in range(m) if rules[s].discount))
     network = n + m + len(instance.offers)  # steps charged per flow check
-    steps = 0
+    steps = _Steps()
     caps = [0] * m  # thresholds of the shops in the current set, 0 elsewhere
     best_cost, best_star = n, ()  # the empty set, first in the order, costs n
 
@@ -553,6 +573,9 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
     disc = tsum = 0  # its discounts and thresholds, summed
     j = 0  # the next shop to try adding to it
     while True:
+        if j < m and tsum + rules[j].threshold > n:  # before the bound, see above
+            j += 1
+            continue
         # Past the last shop, or once the bound fails, no set under j or a
         # later shop is cheaper: leave this level for the next shop above.
         if j == m or n - disc - reach(j, n - tsum) >= best_cost:
@@ -564,19 +587,16 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
             tsum -= rules[j].threshold
             j += 1
             continue
-        t = rules[j].threshold
-        if tsum + t <= n:
-            caps[j] = t
-            steps = _add_steps(steps, network)
-            star = max_fstar_subgraph(instance, StarDegreeBound(tuple(caps)))
-            if len(star) == tsum + t:  # feasible: go below S + j
-                path.append(j)
-                disc += rules[j].discount
-                tsum += t
-                if n - disc < best_cost:
-                    best_cost, best_star = n - disc, star
-                j += 1
-                continue
+        t = caps[j] = rules[j].threshold
+        steps.add(network)
+        star = max_fstar_subgraph(instance, StarDegreeBound(tuple(caps)), steps=steps)
+        if len(star) == tsum + t:  # feasible: go below S + j
+            path.append(j)
+            disc += rules[j].discount
+            tsum += t
+            if n - disc < best_cost:
+                best_cost, best_star = n - disc, star
+        else:
             caps[j] = 0
         j += 1
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -110,12 +111,46 @@ class TestUnitPriceSolver:
         assert fstar_unit_price_min_cost(inst).total_cost == 0
         assert brute_force_min_cost(inst).total_cost == 0
 
-    def test_step_cap(self, monkeypatch):
-        # Each flow check charges the 200 books, 30 shops and their offers.
-        monkeypatch.setattr(exact, "MAX_STATES", 1000)
-        inst = random_instance(200, 30, unit_prices=True, seed=1)
-        with pytest.raises(ResourceLimitError, match="^step count 17563 exceeds cap 16000$"):
+    @pytest.mark.parametrize(
+        "inst, max_states, message",
+        [
+            # Each flow check charges the 200 books, 30 shops and their
+            # offers, and the offers its searches try.
+            pytest.param(
+                random_instance(200, 30, unit_prices=True, seed=1), 1000,
+                "step count 18072 exceeds cap 16000", id="random",
+            ),
+            # Shop s sells book s: a check costs its network.
+            pytest.param(
+                make_instance(400, [(1, 1)] * 400, [(s, s, 1) for s in range(400)]), 20_000,
+                "step count 321003 exceeds cap 320000", id="chain",
+            ),
+            # Shop s sells books s and s + 1, so each search walks back
+            # over every book matched before it.  The networks alone come to
+            # under 60,000 steps; the searches' offers pass the cap.
+            pytest.param(
+                make_instance(
+                    120, [(1, 1)] * 120,
+                    [(b, s, 1) for b in range(120) for s in (b - 1, b) if 0 <= s < 120],
+                ),
+                20_000, "step count 320050 exceeds cap 320000", id="path",
+            ),
+        ],
+    )
+    def test_step_cap(self, monkeypatch, inst, max_states, message):
+        monkeypatch.setattr(exact, "MAX_STATES", max_states)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"^{message}$"):
             fstar_unit_price_min_cost(inst)
+        assert time.perf_counter() - start < 5
+
+    def test_unearnable_shops_take_one_pass(self):
+        # No threshold of 2 fits the one book, so every shop is skipped
+        # before its bound is taken: the search is one pass over the shops.
+        inst = make_instance(1, [(10, 2)] * 50_000, [(0, 0, 1)])
+        start = time.perf_counter()
+        assert fstar_unit_price_min_cost(inst).total_cost == 1
+        assert time.perf_counter() - start < 5
 
     def test_deep_search_does_not_recurse(self):
         # Every set of threshold-0 shops is feasible, so the search goes
