@@ -11,15 +11,18 @@
   at a time, pruned by a lower bound against the budget or the cheapest
   plan: a vector is dropped once even buying every remaining book at its
   cheapest shop and earning every discount still in reach costs more.
-  Before the first layer, ``_root_bound`` bounds what any plan can save
-  by a fractional knapsack: a plan spends at least its earning shops'
-  thresholds, so spend past the cheapest prices costs what it adds.  A
-  budget below that bound is below every plan's cost and is answered
-  None without building a layer.  Among several cheapest plans, the one
+  Interchangeable shops (the same rule, the same books at the same
+  prices) can swap spends without changing a bound, so a layer is a set
+  of canonical vectors, one per orbit, whose spends ascend within each
+  group of such shops.  Before the first layer, ``_root_bound`` bounds
+  what any plan can save by a fractional knapsack: a plan spends at least
+  its earning shops' thresholds, so spend past the cheapest prices costs
+  what it adds.  A budget below that bound is below every plan's cost and
+  is answered None without building a layer.  Among several cheapest plans, the one
   with the smallest final spend vector is returned, traced back book by
   book, from the last, to the lexicographically smallest kept vector
-  before it; the DP finds that one by trying each book's offers in shop
-  order, zero prices last, and keeping the first to reach a vector.
+  before it: of the book's offers, in shop order with zero prices last,
+  the first whose predecessor, once made canonical, is in the layer.
   ``price_vector_dp`` answers a budget question with that plan as the
   witness for yes, or None for no.
 * ``matching2_min_cost``: every shop sells at most two books.  Reduces to
@@ -235,6 +238,31 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
 # --- price-vector dynamic program -------------------------------------------
 
 
+def _interchangeable(instance: Instance) -> list[list[int]]:
+    """The groups of two or more interchangeable shops, each ascending:
+    shops with the same rule that sell the same books at the same prices.
+
+    Shops are bucketed by rule first, and offer lists are compared only
+    within a bucket of two or more shops."""
+    by_rule: dict[tuple[int, int], list[int]] = {}
+    for s, rule in enumerate(instance.rules):
+        by_rule.setdefault((rule.discount, rule.threshold), []).append(s)
+    if len(by_rule) == instance.num_shops:
+        return []
+    sold: list[list[tuple[int, int]]] = [[] for _ in instance.rules]
+    for b, pairs in enumerate(instance.offers_by_book):
+        for s, price in pairs:
+            sold[s].append((b, price))
+    groups = []
+    for shops in by_rule.values():
+        if len(shops) > 1:
+            by_offers: dict[tuple[tuple[int, int], ...], list[int]] = {}
+            for s in shops:
+                by_offers.setdefault(tuple(sold[s]), []).append(s)
+            groups += [group for group in by_offers.values() if len(group) > 1]
+    return groups
+
+
 def price_vector_min_cost(instance: Instance, budget: int | None = None) -> SolveResult | None:
     """Minimum cost via a DP over per-shop spend vectors, pruned by a lower
     bound against the budget or the cheapest plan.
@@ -253,9 +281,20 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     layer if ``_root_bound``, a lower bound on the cost of every plan,
     exceeds the bound.  That happens only for a budget below the cheapest
     plan's cost, and then no plan is within it, so the answer is the one
-    the layers would give.  Among several cheapest plans, returns the one
-    whose final spend vector is smallest, and of those the one that traces
-    each vector back to its lexicographically smallest kept predecessor.
+    the layers would give.
+
+    Interchangeable shops (``_interchangeable``) have the same A_si, t_s
+    and discount, so swapping their spends changes no LB(v), and the kept
+    vectors are closed under such swaps.  A layer is therefore the set of
+    its canonical vectors, those whose spends ascend along each group's
+    shops: v is kept iff its canonical form is.
+
+    Among several cheapest plans, returns the one whose final spend vector
+    is smallest; it ascends within each group, so it is canonical.  Each
+    book b, from the last, goes back from v to the first of its offers, in
+    shop order with zero prices last, whose predecessor v less that price
+    at that shop is kept (its canonical form is in layer b): the
+    lexicographically smallest kept predecessor of v.
 
     Refuses more than ``MAX_STATES`` kept vectors, or more than
     16 * ``MAX_STATES`` steps: the n * m entries of ``need``, checked
@@ -285,21 +324,20 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     if budget is not None and _root_bound(instance) > bound:  # no plan is within it
         return None
 
-    # layers[i] maps each kept spend vector after books 0..i-1 to the shop
-    # chosen for book i-1; the vector before it is this one less that
-    # shop's price for the book.  Offers pass over the layer one at a time,
-    # in shop order with zero prices last, and a vector keeps the first to
-    # reach it: its lexicographically smallest kept predecessor.  A positive
-    # price lowers one entry, an earlier one for a lower shop, and a zero
-    # price keeps the vector, larger than any other (ties to the lower shop).
-    start: tuple[int, ...] = (0,) * m
-    layers: list[dict[tuple[int, ...], int]] = [{start: -1}]
+    groups = _interchangeable(instance)
+    later: list[tuple[int, ...]] = [()] * m  # the shops after s in its group
+    for group in groups:
+        for i, s in enumerate(group):
+            later[s] = tuple(group[i + 1 :])
+
+    # layers[i] holds the kept canonical spend vectors after books 0..i-1.
+    layers: list[set[tuple[int, ...]]] = [{(0,) * m}]
     total = 1
     steps = _Steps()  # an m-tuple built per (vector, offer) pair
     for b in range(n):
         reach = need[b + 1]
         slack = bound - rest[b + 1]
-        nxt: dict[tuple[int, ...], int] = {}
+        nxt: set[tuple[int, ...]] = set()
         room = MAX_STATES - total  # for this layer's vectors
         # Each state adds at most one vector per offer of book b, so a
         # layer within this product cannot pass the cap and skips the test.
@@ -315,17 +353,34 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
                 if state[s] >= reach[s]:
                     base -= discount[s]
             bases.append(base)
-        if instance.cheapest[b][1] == 0:  # zero prices go last, see above
-            offers = sorted(offers, key=lambda offer: offer[1] == 0)
         for shop, price in offers:
             steps.add(len(bases) * m)
             cut = slack - price
+            after = later[shop]
             for state, base in zip(layers[-1], bases):
                 if base > cut:
                     spend = state[shop]
                     if base - discount[shop] > cut or not spend < reach[shop] <= spend + price:
                         continue
-                nxt.setdefault(state[:shop] + (state[shop] + price,) + state[shop + 1 :], shop)
+                # A raised spend that passes the next shop of its group
+                # moves right past the smaller spends, so the vector stays
+                # canonical.  If that shop spends the same, raising it
+                # instead reaches the same orbit, so the offer is skipped.
+                if after and state[after[0]] < state[shop] + price:
+                    if state[after[0]] == state[shop]:
+                        continue
+                    spend = state[shop] + price
+                    v = list(state)
+                    at = shop
+                    for s in after:
+                        if state[s] >= spend:
+                            break
+                        v[at] = state[s]
+                        at = s
+                    v[at] = spend
+                    nxt.add(tuple(v))
+                else:
+                    nxt.add(state[:shop] + (state[shop] + price,) + state[shop + 1 :])
                 if capped and len(nxt) > room:
                     size = total + len(nxt)
                     raise ResourceLimitError(
@@ -342,13 +397,26 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         return None
     best_cost, state = best
 
-    claims = []  # every book, at the shop the DP chose for it
+    def canonical(v: tuple[int, ...]) -> tuple[int, ...]:
+        w = list(v)
+        for group in groups:
+            for s, spend in zip(group, sorted(v[s] for s in group)):
+                w[s] = spend
+        return tuple(w)
+
+    claims = []  # every book, at the shop whose offer leads back to a kept vector
     for b in range(n - 1, -1, -1):
-        shop = layers[b + 1][state]
-        for s, price in instance.offers_by_book[b]:
-            if s == shop:
+        offers = instance.offers_by_book[b]
+        if instance.cheapest[b][1] == 0:  # zero prices go last
+            offers = sorted(offers, key=lambda offer: offer[1] == 0)
+        for shop, price in offers:
+            spend = state[shop] - price
+            if spend < 0:
+                continue
+            prev = state[:shop] + (spend,) + state[shop + 1 :]
+            if (canonical(prev) if groups else prev) in layers[b]:
                 break
-        state = state[:shop] + (state[shop] - price,) + state[shop + 1 :]
+        state = prev
         claims.append((b, shop))
     return _claimed_plan(instance, claims, rest[0] - best_cost)
 
@@ -360,7 +428,7 @@ def price_vector_dp(instance: Instance, budget: int) -> SolveResult | None:
     It is kept as a name of its own because the benchmark wraps
     ``cli.price_vector_dp`` to time budget decisions, and its self-tests
     need those timings on ``few-shops``; one solver registry retires it
-    (ROADMAP item 7)."""
+    (ROADMAP item 8)."""
     return price_vector_min_cost(instance, budget)
 
 

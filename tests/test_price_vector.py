@@ -22,6 +22,24 @@ from clevershopper import (
 from clevershopper import exact
 
 
+def _assert_pinned_plan(inst, rng):
+    """price-dp returns the pinned plan, not only a cheapest one: the
+    smallest final spend vector, then, from the last book back, a positive
+    price before a zero one and the lower shop first.  It returns it at
+    budgets from its cost up, and None one below."""
+
+    def key(result):
+        tail = tuple((inst.price[b, result.choice[b]] == 0, result.choice[b])
+                     for b in reversed(range(inst.num_books)))
+        return (result.total_cost, result.per_shop_spend, tail)
+
+    plans = itertools.product(*([s for s, _ in pairs] for pairs in inst.offers_by_book))
+    best = min((evaluate_assignment(inst, c) for c in plans), key=key)
+    for budget in (None, best.total_cost, best.total_cost + rng.randint(1, 5)):
+        assert price_vector_min_cost(inst, budget) == best
+    assert price_vector_min_cost(inst, best.total_cost - 1) is None
+
+
 class TestDecision:
     def test_partition_yes(self):
         gen = from_partition((1, 2, 3))
@@ -136,8 +154,13 @@ class TestOptimization:
     def test_state_cap_checked_within_a_layer(self, monkeypatch, cap):
         # The count is checked after each new vector of a layer, so the
         # refusal comes before one layer can grow to m times the one
-        # before, and it names the first count past the cap.
-        inst = from_bin_packing((3, 5, 7, 2, 4, 6, 1, 8, 9, 3, 4, 8), 4, 15).instance
+        # before, and it names the first count past the cap.  The shops
+        # of this bin-packing gadget have different discounts, so none are
+        # interchangeable and no orbit shrinks a layer.
+        weights = (3, 5, 7, 2, 4, 6, 1, 8, 9, 3, 4, 8)
+        rules = [(1, 15), (2, 15), (3, 15), (4, 15)]
+        offers = [(b, s, w) for b, w in enumerate(weights) for s in range(4)]
+        inst = make_instance(12, rules, offers)
         monkeypatch.setattr(exact, "MAX_STATES", cap)
         with pytest.raises(ResourceLimitError, match=rf"exceeds cap {cap}$") as refused:
             price_vector_min_cost(inst)
@@ -180,9 +203,7 @@ class TestOptimization:
         assert price_vector_min_cost(inst).choice == (1, 1)
 
     def test_which_cheapest_plan_is_returned(self):
-        # The plan is pinned, not only its cost: the smallest final spend
-        # vector, then, from the last book back, a positive price before a
-        # zero one and the lower shop first.  Zero prices make ties common.
+        # Zero prices make ties common.
         rng = random.Random(18)
         for _ in range(300):
             n, m = rng.randint(1, 6), rng.randint(1, 4)
@@ -191,19 +212,44 @@ class TestOptimization:
             for b in range(n):
                 for s in rng.sample(range(m), rng.randint(1, m)):
                     offers.append((b, s, 0 if rng.random() < 0.25 else rng.randint(1, 6)))
-            inst = make_instance(n, rules, offers)
-            price = {(b, s): p for b, s, p in offers}
+            _assert_pinned_plan(make_instance(n, rules, offers), rng)
 
-            def key(result):
-                tail = tuple((price[b, result.choice[b]] == 0, result.choice[b])
-                             for b in reversed(range(n)))
-                return (result.total_cost, result.per_shop_spend, tail)
+    def test_which_plan_with_interchangeable_shops(self):
+        # Copies of a shop (the same rule, the same books at the same
+        # prices) share one canonical spend vector per orbit, and the plan
+        # returned is still the pinned one.  The copies sit at shuffled
+        # positions, so a group's shops need not be adjacent.  A near copy
+        # sells the same books at the same prices, but its discount or its
+        # threshold is one more, so it is not interchangeable.
+        rng = random.Random(22)
+        for _ in range(300):
+            n, kinds = rng.randint(1, 5), rng.randint(1, 3)
+            rules = [(rng.randint(0, 8), rng.randint(0, 12)) for _ in range(kinds)]
+            sold = [{} for _ in range(kinds)]
+            for b in range(n):
+                for k in rng.sample(range(kinds), rng.randint(1, kinds)):
+                    sold[k][b] = 0 if rng.random() < 0.25 else rng.randint(1, 6)
+            shops = [(k, rules[k]) for k in range(kinds)]
+            shops += [(k, rules[k]) for k in rng.choices(range(kinds), k=rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                k = rng.randrange(kinds)
+                d, t = rules[k]
+                shops.append((k, rng.choice([(d + 1, t), (d, t + 1)])))
+            rng.shuffle(shops)
+            offers = [(b, s, p) for s, (k, _) in enumerate(shops) for b, p in sold[k].items()]
+            inst = make_instance(n, [rule for _, rule in shops], offers)
+            assert exact._interchangeable(inst)
+            _assert_pinned_plan(inst, rng)
 
-            plans = itertools.product(*([s for s, _ in pairs] for pairs in inst.offers_by_book))
-            best = min((evaluate_assignment(inst, c) for c in plans), key=key)
-            for budget in (None, best.total_cost, best.total_cost + rng.randint(1, 5)):
-                assert price_vector_min_cost(inst, budget) == best
-            assert price_vector_min_cost(inst, best.total_cost - 1) is None
+    def test_bin_packing_past_the_cap_without_orbits(self):
+        # Five interchangeable bins: keeping every permutation of their
+        # spends passes MAX_STATES, and one vector per orbit stays far
+        # below it.
+        weights = (3, 5, 7, 2, 4, 6, 1, 8, 9, 3, 4, 8, 5, 7, 3, 5)
+        inst = from_bin_packing(weights, 5, 16).instance
+        result = price_vector_min_cost(inst)
+        assert result.total_cost == 75
+        assert evaluate_assignment(inst, result.choice) == result
 
     def test_deterministic(self):
         for seed in range(10):
