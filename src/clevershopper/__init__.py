@@ -25,7 +25,6 @@ from .exact import (
     fstar_unit_price_min_cost,
     matching2_min_cost,
     max_fstar_subgraph,
-    price_vector_dp,
     price_vector_min_cost,
     subset_dp_min_cost,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "parse_instance",
     "parse_solution",
     "parse_weights",
-    "price_vector_dp",
     "price_vector_min_cost",
     "random_instance",
     "random_x3c",

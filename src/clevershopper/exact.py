@@ -6,7 +6,7 @@
   books, keeping the largest total saving per set of claimed books.
   O(m * 2^n * e) time, where e is the most earning sets of one shop; they
   are threshold-minimal, so a shop selling k books has at most C(k, k/2).
-* ``price_vector_min_cost`` / ``price_vector_dp``: few shops,
+* ``price_vector_min_cost``: few shops,
   pseudo-polynomial in prices.  DP over per-shop spend vectors, one book
   at a time, pruned by a lower bound against the budget or the cheapest
   plan: a vector is dropped once even buying every remaining book at its
@@ -23,7 +23,7 @@
   book, from the last, to the lexicographically smallest kept vector
   before it: of the book's offers, in shop order with zero prices last,
   the first whose predecessor, once made canonical, is in the layer.
-  ``price_vector_dp`` answers a budget question with that plan as the
+  Given a budget, it answers the budget question with that plan as the
   witness for yes, or None for no.
 * ``matching2_min_cost``: every shop sells at most two books.  Reduces to
   maximum-weight matching in a graph whose edges are the shops' earning
@@ -419,17 +419,6 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         state = prev
         claims.append((b, shop))
     return _claimed_plan(instance, claims, rest[0] - best_cost)
-
-
-def price_vector_dp(instance: Instance, budget: int) -> SolveResult | None:
-    """``price_vector_min_cost`` with a budget: the cheapest plan if it
-    costs at most ``budget``, else None.
-
-    It is kept as a name of its own because the benchmark wraps
-    ``cli.price_vector_dp`` to time budget decisions, and its self-tests
-    need those timings on ``few-shops``; one solver registry retires it
-    (ROADMAP item 8)."""
-    return price_vector_min_cost(instance, budget)
 
 
 # --- matching reduction for shops selling at most two books ------------------

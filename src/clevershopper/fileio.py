@@ -143,7 +143,7 @@ def serialize_instance(instance: Instance) -> str:
     ]
     for s, rule in enumerate(instance.rules):
         out.append(f"SHOP {s + 1} {rule.discount} {rule.threshold}")
-    for o in sorted(instance.offers):
+    for o in instance.offers:
         out.append(f"OFFER {o.book + 1} {o.shop + 1} {o.price}")
     if instance.budget is not None:
         out.append(f"BUDGET {instance.budget}")

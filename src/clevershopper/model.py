@@ -49,9 +49,11 @@ class Instance:
     """A full problem instance.
 
     ``rules[s]`` is the discount rule of shop ``s``; ``offers`` lists the
-    available (book, shop, price) triples.  ``budget`` is the optional
-    decision target.  Building one from invalid data raises ``InputError``,
-    so every instance a solver sees is valid.
+    available (book, shop, price) triples in strictly ascending (book, shop)
+    order, which ``make_instance`` produces from any order.  ``budget`` is
+    the optional decision target.  Building one from invalid data,
+    including offers out of that order, raises ``InputError``, so every
+    instance a solver sees is valid.
     """
 
     num_books: int
@@ -68,7 +70,8 @@ class Instance:
             if rule.threshold < 0:
                 raise NegativeValue(f"threshold of shop s{s + 1}", rule.threshold)
         n, m = self.num_books, self.num_shops
-        seen: set[int] = set()  # book * m + shop
+        covered = 0  # books 0 .. covered - 1 have offers; a gap stops it
+        last = (-1, -1)  # (book, shop) of the offer before
         for book, shop, price in self.offers:
             if not 0 <= book < n:
                 raise DanglingIndex("book", book, n)
@@ -76,15 +79,18 @@ class Instance:
                 raise DanglingIndex("shop", shop, m)
             if price < 0:
                 raise NegativeValue(f"price of book b{book + 1} at shop s{shop + 1}", price)
-            key = book * m + shop
-            if key in seen:
-                raise InputError(f"duplicate offer for book b{book + 1} at shop s{shop + 1}")
-            seen.add(key)
-        covered = {key // m for key in seen}
-        if len(covered) < n:
-            # The first gap is among the first len(covered) + 1 books.
-            book = next(b for b in range(n) if b not in covered)
-            raise InputError(f"book b{book + 1} is offered by no shop")
+            if (book, shop) <= last:
+                if (book, shop) == last:
+                    raise InputError(f"duplicate offer for book b{book + 1} at shop s{shop + 1}")
+                raise InputError(
+                    f"offer out of (book, shop) order: book b{book + 1} at shop s{shop + 1}"
+                    f" follows book b{last[0] + 1} at shop s{last[1] + 1}"
+                )
+            if book == covered:
+                covered += 1
+            last = book, shop
+        if covered < n:
+            raise InputError(f"book b{covered + 1} is offered by no shop")
 
     @property
     def num_shops(self) -> int:
@@ -97,11 +103,12 @@ class Instance:
 
     @cached_property
     def offers_by_book(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per book, the (shop, price) pairs offering it, ascending by shop."""
+        """Per book, the (shop, price) pairs offering it, ascending by shop
+        because ``offers`` is in (book, shop) order."""
         per_book: list[list[tuple[int, int]]] = [[] for _ in range(self.num_books)]
         for book, shop, price in self.offers:
             per_book[book].append((shop, price))
-        return tuple(tuple(sorted(pairs)) for pairs in per_book)
+        return tuple(map(tuple, per_book))
 
     @cached_property
     def cheapest(self) -> tuple[tuple[int, int], ...]:
@@ -195,9 +202,10 @@ def make_instance(
     offers: Iterable[tuple[int, int, int]],
     budget: int | None = None,
 ) -> Instance:
-    """Convenience constructor from bare tuples, in canonical order.
+    """Convenience constructor from bare tuples, in any order.
 
-    Offers are stored sorted by (book, shop), the order the file format uses.
+    It sorts the offers by (book, shop), the order ``Instance`` requires
+    and the file format uses; it is the one place that sorts them.
     """
     return Instance(
         num_books=num_books,

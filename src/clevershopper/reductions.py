@@ -151,7 +151,7 @@ def from_perfect_code(graph: SimpleGraph, k: int) -> GeneratedInstance:
     )
     rules = [(1, graph.degree(v) + 1) for v in range(n)]
     offers = [
-        (b, v, 1) for v in range(n) for b in sorted(graph.closed_neighborhoods[v])
+        (b, v, 1) for v in range(n) for b in graph.closed_neighborhoods[v]
     ]
     expected = has_neighborhood_packing(graph, k) if n <= PERFECT_CODE_DECIDE_CAP else None
     return GeneratedInstance(make_instance(n, rules, offers, n - k), expected)
@@ -218,7 +218,7 @@ def x3c_or_composition(
         for triple in comp.sets:
             shop = len(rules)
             books = [item_book(i) for i in triple]
-            books += [ident_book(i, cj) for i in triple for cj in sorted(keys[h])]
+            books += [ident_book(i, cj) for i in triple for cj in keys[h]]
             rules.append((len(books), len(books) * price))
             offers += [(b, shop, price) for b in books]
     for cj in columns:

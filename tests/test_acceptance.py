@@ -32,7 +32,7 @@ from clevershopper import (
     max_satisfied_clauses,
     max_weight_matching,
     parse_instance,
-    price_vector_dp,
+    price_vector_min_cost,
     random_instance,
     random_x3c,
     serialize_instance,
@@ -120,7 +120,7 @@ def test_exact_solvers_match_oracle_sweeps():
             max(p for _, p in inst.offers_by_book[b]) for b in range(inst.num_books)
         )
         for k in range(0, wallet + 1):
-            result = price_vector_dp(inst, k)
+            result = price_vector_min_cost(inst, k)
             assert (result is not None) == (opt <= k)
             if result is not None:
                 got = evaluate_assignment(inst, result.choice)
@@ -288,7 +288,7 @@ def test_performance_floor():
     gen = from_partition(weights)
     assert gen.expected_answer is True
     start = time.perf_counter()
-    result = price_vector_dp(gen.instance, gen.target_budget)
+    result = price_vector_min_cost(gen.instance, gen.target_budget)
     assert time.perf_counter() - start < 5.0
     assert result is not None
     assert result.total_cost <= gen.target_budget

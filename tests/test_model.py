@@ -108,6 +108,24 @@ class TestValidation:
         with pytest.raises(InputError, match=pattern):
             Instance(num_books, (DiscountRule(1, 1),), tuple(Offer(*o) for o in offers))
 
+    @pytest.mark.parametrize(
+        "offers, message",
+        [
+            ([(1, 0, 5), (0, 1, 6), (0, 0, 7), (1, 1, 8)],
+             "offer out of (book, shop) order: book b1 at shop s2 follows book b2 at shop s1"),
+            ([(0, 1, 6), (0, 0, 7), (1, 0, 5), (1, 1, 8)],
+             "offer out of (book, shop) order: book b1 at shop s1 follows book b1 at shop s2"),
+        ],
+        ids=["book", "shop"],
+    )
+    def test_direct_construction_requires_book_shop_order(self, offers, message):
+        rules = (DiscountRule(1, 1), DiscountRule(2, 3))
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Instance(2, rules, tuple(Offer(*o) for o in offers))
+        # make_instance sorts the same offers into that order.
+        in_order = Instance(2, rules, tuple(Offer(*o) for o in sorted(offers)))
+        assert make_instance(2, [(1, 1), (2, 3)], offers) == in_order
+
 
 @st.composite
 def raw_instance_fields(draw):
@@ -127,7 +145,9 @@ def raw_instance_fields(draw):
     stray = st.tuples(st.integers(-1, offered), st.integers(-1, num_shops), money)
     offers += draw(st.lists(stray, max_size=2))
     num_books = offered + draw(st.sampled_from((0, 0, 1, -1)))
-    return num_books, rules, offers, draw(st.none() | money)
+    # Sorted, as ``Instance`` requires, so that stray offers reach its
+    # other checks and valid instances with them are drawn.
+    return num_books, rules, sorted(offers), draw(st.none() | money)
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,7 +15,6 @@ from clevershopper import (
     from_partition,
     has_balanced_partition,
     make_instance,
-    price_vector_dp,
     price_vector_min_cost,
     random_instance,
 )
@@ -43,25 +42,25 @@ def _assert_pinned_plan(inst, rng):
 class TestDecision:
     def test_partition_yes(self):
         gen = from_partition((1, 2, 3))
-        result = price_vector_dp(gen.instance, 4)
+        result = price_vector_min_cost(gen.instance, 4)
         assert result is not None
         assert result.total_cost <= 4
 
     def test_partition_no(self):
         gen = from_partition((1, 1, 3))
-        assert price_vector_dp(gen.instance, 3) is None
+        assert price_vector_min_cost(gen.instance, 3) is None
 
     def test_single_shop_collapses_to_sum_test(self):
         inst = make_instance(2, [(3, 9)], [(0, 0, 5), (1, 0, 5)])
         # total 10 >= 9, so cost is 7
-        assert price_vector_dp(inst, 7) is not None
-        assert price_vector_dp(inst, 6) is None
+        assert price_vector_min_cost(inst, 7) is not None
+        assert price_vector_min_cost(inst, 6) is None
 
     def test_witness_respects_budget(self):
         for seed in range(25):
             inst = random_instance(5, 3, max_price=6, seed=seed)
             opt = brute_force_min_cost(inst).total_cost
-            result = price_vector_dp(inst, opt)
+            result = price_vector_min_cost(inst, opt)
             assert result is not None
             assert evaluate_assignment(inst, result.choice) == result
             assert result.total_cost <= opt
@@ -72,14 +71,14 @@ class TestDecision:
             opt = brute_force_min_cost(inst).total_cost
             wallet = sum(o.price for o in inst.offers)
             for budget in range(0, wallet + 1):
-                assert (price_vector_dp(inst, budget) is not None) == (opt <= budget)
+                assert (price_vector_min_cost(inst, budget) is not None) == (opt <= budget)
 
     def test_partition_gadgets(self):
         rng = random.Random(9)
         for _ in range(60):
             weights = tuple(rng.randint(1, 60) for _ in range(rng.randint(8, 14)))
             gen = from_partition(weights)
-            result = price_vector_dp(gen.instance, gen.target_budget)
+            result = price_vector_min_cost(gen.instance, gen.target_budget)
             assert (result is not None) == has_balanced_partition(weights)
 
     def test_bin_packing_gadgets(self):
@@ -89,7 +88,7 @@ class TestDecision:
             weights = [rng.randint(1, 12) for _ in range(rng.randint(bins, 8))]
             weights[-1] += -sum(weights) % bins
             gen = from_bin_packing(tuple(weights), bins, sum(weights) // bins)
-            result = price_vector_dp(gen.instance, gen.target_budget)
+            result = price_vector_min_cost(gen.instance, gen.target_budget)
             assert (result is not None) == gen.expected_answer
 
     def test_large_discounts_at_the_optimum(self):
@@ -99,8 +98,8 @@ class TestDecision:
         for seed in range(40):
             inst = random_instance(6, 4, max_price=9, discount_model=model, seed=seed)
             opt = brute_force_min_cost(inst).total_cost
-            assert price_vector_dp(inst, opt - 1) is None
-            result = price_vector_dp(inst, opt)
+            assert price_vector_min_cost(inst, opt - 1) is None
+            result = price_vector_min_cost(inst, opt)
             assert result is not None and result.total_cost == opt
 
     @pytest.mark.parametrize("last, answer", [(22, True), (23, False)])
@@ -111,7 +110,7 @@ class TestDecision:
         # before the first layer.
         gen = from_partition((17, 23, 5, 41, 8, 30, 12, 19, 27, 36, 9, 14, 11, last))
         monkeypatch.setattr(exact, "MAX_STATES", 1_000)
-        assert (price_vector_dp(gen.instance, gen.target_budget) is not None) is answer
+        assert (price_vector_min_cost(gen.instance, gen.target_budget) is not None) is answer
 
 
 class TestOptimization:
@@ -131,8 +130,8 @@ class TestOptimization:
             )
             opt = brute_force_min_cost(inst).total_cost
             assert price_vector_min_cost(inst).total_cost == opt
-            assert price_vector_dp(inst, opt - 1) is None
-            result = price_vector_dp(inst, opt)
+            assert price_vector_min_cost(inst, opt - 1) is None
+            result = price_vector_min_cost(inst, opt)
             assert result is not None and result.total_cost == opt
             assert evaluate_assignment(inst, result.choice) == result
 
@@ -293,9 +292,9 @@ class TestRootBound:
             1, [(11 * 10**17 + 1, 10**18 + 1), (0, 0)], [(0, 0, 10**18 + 1), (0, 1, 10**17 + 1)]
         )
         assert exact._root_bound(inst) == -(10**17) == brute_force_min_cost(inst).total_cost
-        result = price_vector_dp(inst, -(10**17))
+        result = price_vector_min_cost(inst, -(10**17))
         assert result is not None and result.choice == (0,)
-        assert price_vector_dp(inst, -(10**17) - 1) is None
+        assert price_vector_min_cost(inst, -(10**17) - 1) is None
 
     def test_decides_before_the_first_layer(self, monkeypatch):
         # With room for one vector only, any layer would be refused.  An
@@ -305,9 +304,9 @@ class TestRootBound:
         # where LB0, R less both discounts, is 7.
         monkeypatch.setattr(exact, "MAX_STATES", 1)
         gen = from_partition((3, 1, 1, 2, 2, 2))
-        assert price_vector_dp(gen.instance, gen.target_budget) is None
+        assert price_vector_min_cost(gen.instance, gen.target_budget) is None
         inst = make_instance(3, [(4, 10), (4, 10)], [(b, s, 5) for b in range(3) for s in range(2)])
         assert exact._root_bound(inst) == 9
-        assert price_vector_dp(inst, 8) is None
+        assert price_vector_min_cost(inst, 8) is None
         with pytest.raises(ResourceLimitError, match="reachable state count 2 exceeds cap 1"):
-            price_vector_dp(inst, 9)
+            price_vector_min_cost(inst, 9)
