@@ -4,8 +4,8 @@
   dynamic program over disjoint earning sets: start from every book at its
   cheapest shop, and let each shop that earns its discount claim a set of
   books, keeping the largest total saving per set of claimed books.
-  O(m * 2^n * e) time, where e is the most earning sets of one shop; they
-  are threshold-minimal, so a shop selling k books has at most C(k, k/2).
+  O(m * 2^n * e) time, where e is the most earning sets of one shop: found
+  by a search, they are threshold-minimal, so k books give at most C(k, k/2).
 * ``price_vector_min_cost``: few shops,
   pseudo-polynomial in prices.  DP over per-shop spend vectors, one book
   at a time, pruned by a lower bound against the budget or the cheapest
@@ -45,6 +45,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import accumulate
 
 from .errors import InputError, NegativeValue, ResourceLimitError
 from .matching import WeightedEdge, WeightedGraph, max_weight_matching
@@ -76,25 +77,30 @@ def _earning_sets(instance: Instance, shop: int) -> list[tuple[int, int]]:
     one of its books.  The saving is the discount less the set's premium
     over buying each of its books at its cheapest shop; only positive
     savings are kept.  A threshold-0 shop has one such set, the empty one.
+    They come in increasing local mask order, books numbered cheapest first:
+    a depth-first search adds books dearest first, keeps a set, grown no
+    further, once it reaches the threshold, and drops it once its premium
+    reaches the discount or the cheaper books cannot lift it there.
     """
     rule = instance.rules[shop]
-    # Lightest first, so the low bit of a local mask is its cheapest book.
+    if rule.threshold == 0:
+        return [(0, rule.discount)] if rule.discount else []
     offers = sorted((instance.price[(b, shop)], b) for b in instance.books_by_shop[shop])
-    k = len(offers)
-    spends = [0] * (1 << k)
-    premiums = [0] * (1 << k)
-    gmasks = [0] * (1 << k)
-    sets = [(0, rule.discount)] if rule.threshold == 0 and rule.discount > 0 else []
-    for ls in range(1, 1 << k):
-        low = ls & -ls
-        price, book = offers[low.bit_length() - 1]
-        rest = ls ^ low
-        spends[ls] = spends[rest] + price
-        premiums[ls] = premiums[rest] + price - instance.cheapest[book][1]
-        gmasks[ls] = gmasks[rest] | (1 << book)
-        saving = rule.discount - premiums[ls]
-        if saving > 0 and rule.threshold <= spends[ls] < rule.threshold + price:
-            sets.append((gmasks[ls], saving))
+    upto = list(accumulate((price for price, _ in offers), initial=0))  # spend of books 0..i-1
+    sets = []
+    stack = [(0, 0, 0, len(offers))]  # (spend, premium, global mask, i): books >= i
+    while stack:
+        spend, premium, gmask, i = stack.pop()
+        if spend >= rule.threshold:
+            sets.append((gmask, rule.discount - premium))
+            continue
+        for j in range(i - 1, -1, -1):  # next book j, popped cheapest first: mask order
+            if spend + upto[j + 1] < rule.threshold:
+                break
+            price, book = offers[j]
+            more = premium + price - instance.cheapest[book][1]
+            if more < rule.discount:
+                stack.append((spend + price, more, gmask | 1 << book, j))
     return sets
 
 
@@ -189,23 +195,19 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
     shops so far whose claimed books are exactly ``B``.  Returns one
     cheapest plan; which one, among equally cheap plans, is not fixed.
 
-    Refuses a shop whose 2^k subset tables (k books sold) exceed
-    ``MAX_STATES``, more than ``MAX_STATES`` states and back-pointers, or
-    more than 16 * ``MAX_STATES`` steps: each shop's table fill, its copy
-    of ``best`` and its (state, earning set) pairs, counted before its pass.
+    Refuses more than ``MAX_STATES`` states and back-pointers, or more
+    than 16 * ``MAX_STATES`` steps: 2^k for the search of a shop's earning
+    sets (k books sold), counted before it runs, then the shop's copy of
+    ``best`` and its (state, earning set) pairs, counted before its pass.
     """
     best = {0: 0}
     came_from: list[dict[int, int]] = []  # per shop: state it improved -> state before
     pointers = 0
     steps = _Steps()
     for s in range(instance.num_shops):
-        k = len(instance.books_by_shop[s])
-        if 1 << k > MAX_STATES:
-            raise ResourceLimitError(
-                f"shop s{s + 1} sells {k} books, its 2^{k} subset tables exceed cap {MAX_STATES}"
-            )
+        steps.add(1 << len(instance.books_by_shop[s]))
         sets = _earning_sets(instance, s)
-        steps.add((1 << k) + len(best) * (1 + len(sets)))
+        steps.add(len(best) * (1 + len(sets)))
         after = dict(best)
         back: dict[int, int] = {}
         room = MAX_STATES - pointers  # for this shop's states and back-pointers
@@ -296,33 +298,28 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     at that shop is kept (its canonical form is in layer b): the
     lexicographically smallest kept predecessor of v.
 
-    Refuses more than ``MAX_STATES`` kept vectors, or more than
-    16 * ``MAX_STATES`` steps: the n * m entries of ``need``, checked
-    before it is built, then an m-tuple per (vector, offer) pair, counted
-    before each offer's pass.  At m <= 4 the vector cap refuses first
-    unless n * m alone passes the step cap: at most four offers of a book
-    pass over each kept vector, at four steps each.
+    Refuses more than ``MAX_STATES`` kept vectors, or more than 16 *
+    ``MAX_STATES`` steps: an m-tuple per (vector, offer) pair, counted before
+    each offer's pass.  At m <= 4 only the vector cap refuses: at most four
+    offers of a book pass over each kept vector, at four steps each.
     """
     m = instance.num_shops
     n = instance.num_books
-    _Steps().add(n * m)  # the need table, before it is built
     shops = range(m)
     discount = [rule.discount for rule in instance.rules]
 
     bound = evaluate_assignment(instance, cheapest_plan(instance)).total_cost
     if budget is not None:
         bound = min(bound, budget)
-    # rest[i] = R_i; need[i][s] = t_s - A_si, the spend at shop s after
-    # books 0..i-1 from which the books left can still earn its discount.
-    rest = [0] * (n + 1)
-    need = [[]] * n + [[rule.threshold for rule in instance.rules]]
-    for b in range(n - 1, -1, -1):
-        rest[b] = rest[b + 1] + instance.cheapest[b][1]
-        need[b] = list(need[b + 1])
-        for shop, price in instance.offers_by_book[b]:
-            need[b][shop] -= price
-    if budget is not None and _root_bound(instance) > bound:  # no plan is within it
-        return None
+        if _root_bound(instance) > bound:  # no plan is within it
+            return None
+
+    # In book b's pass, rest = R_(b+1) and reach[s] = t_s - A_s(b+1): from
+    # that spend after books 0..b, the books left can still earn s's discount.
+    cheap = rest = sum(price for _, price in instance.cheapest)
+    reach = [rule.threshold for rule in instance.rules]
+    for _, shop, price in instance.offers:
+        reach[shop] -= price
 
     groups = _interchangeable(instance)
     later: list[tuple[int, ...]] = [()] * m  # the shops after s in its group
@@ -335,13 +332,15 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     total = 1
     steps = _Steps()  # an m-tuple built per (vector, offer) pair
     for b in range(n):
-        reach = need[b + 1]
-        slack = bound - rest[b + 1]
+        offers = instance.offers_by_book[b]
+        for shop, price in offers:
+            reach[shop] += price
+        rest -= instance.cheapest[b][1]
+        slack = bound - rest
         nxt: set[tuple[int, ...]] = set()
         room = MAX_STATES - total  # for this layer's vectors
         # Each state adds at most one vector per offer of book b, so a
         # layer within this product cannot pass the cap and skips the test.
-        offers = instance.offers_by_book[b]
         capped = len(layers[-1]) * len(offers) > room
         # A successor's LB - R_(b+1) is base + the price of book b, less
         # the discount of its shop if that price lifts the spend there to
@@ -418,7 +417,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
                 break
         state = prev
         claims.append((b, shop))
-    return _claimed_plan(instance, claims, rest[0] - best_cost)
+    return _claimed_plan(instance, claims, cheap - best_cost)
 
 
 # --- matching reduction for shops selling at most two books ------------------

@@ -30,41 +30,45 @@ def brute_force_min_cost(instance: Instance) -> SolveResult:
     size = prod(len(options) for options in per_book)
     if size > SEARCH_CAP:
         raise ResourceLimitError(f"search space has {size} assignments, cap is {SEARCH_CAP}")
-    rules = instance.rules
-    # pick[b] indexes book b's options; spends and gross follow every move.
+    threshold = [rule.threshold for rule in instance.rules]
+    discount = [rule.discount for rule in instance.rules]
+    # pick[b] indexes book b's options.  Each move re-prices only the two
+    # shops whose spend it changes, so cost follows every assignment.
     pick = [0] * instance.num_books
     spends = [0] * instance.num_shops
     for options in per_book:
         shop, price = options[0]
         spends[shop] += price
-    gross = sum(spends)
-    best_cost: int | None = None
-    best_pick: tuple[int, ...] = ()
+    cost = sum(spends) - sum(d for d, t, spend in zip(discount, threshold, spends) if spend >= t)
+    best_cost = cost
+    best_pick = tuple(pick)
     while True:
-        cost = gross
-        for s, rule in enumerate(rules):
-            if spends[s] >= rule.threshold:
-                cost -= rule.discount
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_pick = tuple(pick)
         # Step to the next choice in lexicographic order, like an odometer:
         # trailing books on their last option wrap to their first.
         b = len(pick) - 1
         while b >= 0:
             options = per_book[b]
             shop, price = options[pick[b]]
-            spends[shop] -= price
-            gross -= price
+            spend = spends[shop]
+            spends[shop] = spend - price
+            cost -= price
+            if spend >= threshold[shop] > spend - price:
+                cost += discount[shop]
             pick[b] = (pick[b] + 1) % len(options)
             shop, price = options[pick[b]]
-            spends[shop] += price
-            gross += price
+            spend = spends[shop]
+            spends[shop] = spend + price
+            cost += price
+            if spend < threshold[shop] <= spend + price:
+                cost -= discount[shop]
             if pick[b]:
                 break
             b -= 1
         else:
             break
+        if cost < best_cost:
+            best_cost = cost
+            best_pick = tuple(pick)
     choice = tuple(per_book[b][i][0] for b, i in enumerate(best_pick))
     return evaluate_assignment(instance, choice)
 

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written in the dumbest possible style,
 sharing no code with the package, so that agreement between the two is
-meaningful evidence of correctness.  The one exception, ``fstar_by_masks``,
-checks only fstar's search and reuses the package's flow.
+meaningful evidence of correctness.  Two are kept scans the package
+replaced by searches: ``earning_sets_by_masks``, and ``fstar_by_masks``,
+which checks only fstar's search and reuses the package's flow.
 """
 
 from __future__ import annotations
@@ -125,6 +126,34 @@ def brute_fstar_size(edges, caps) -> int:
                 best = r
                 break
     return best
+
+
+def earning_sets_by_masks(instance: Instance, shop: int) -> list[tuple[int, int]]:
+    """``exact._earning_sets`` by scanning all 2^k sets of the shop's k books.
+
+    The package's table fill before its search, kept as the reference for
+    the search: the same (global book mask, saving) pairs in the same
+    order, increasing local mask with the cheapest book on the low bit.
+    """
+    rule = instance.rules[shop]
+    # Lightest first, so the low bit of a local mask is its cheapest book.
+    offers = sorted((instance.price[(b, shop)], b) for b in instance.books_by_shop[shop])
+    k = len(offers)
+    spends = [0] * (1 << k)
+    premiums = [0] * (1 << k)
+    gmasks = [0] * (1 << k)
+    sets = [(0, rule.discount)] if rule.threshold == 0 and rule.discount > 0 else []
+    for ls in range(1, 1 << k):
+        low = ls & -ls
+        price, book = offers[low.bit_length() - 1]
+        rest = ls ^ low
+        spends[ls] = spends[rest] + price
+        premiums[ls] = premiums[rest] + price - instance.cheapest[book][1]
+        gmasks[ls] = gmasks[rest] | (1 << book)
+        saving = rule.discount - premiums[ls]
+        if saving > 0 and rule.threshold <= spends[ls] < rule.threshold + price:
+            sets.append((gmasks[ls], saving))
+    return sets
 
 
 def fstar_by_masks(instance: Instance) -> SolveResult:

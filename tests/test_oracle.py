@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from clevershopper import (
     evaluate_assignment,
     make_instance,
     random_instance,
+    subset_dp_min_cost,
 )
 
 import bruteforce
@@ -43,6 +46,16 @@ class TestMinCost:
             ResourceLimitError, match="search space has 16777216 assignments, cap is 10000000"
         ):
             brute_force_min_cost(inst)
+
+    def test_time_follows_assignments_not_shops(self):
+        # 122,912 assignments over 1,000 shops: a move re-prices the two
+        # shops it changes, not all of them.
+        inst = random_instance(2, 1000, seed=1)
+        start = time.perf_counter()
+        result = brute_force_min_cost(inst)
+        assert time.perf_counter() - start < 1.0
+        assert result.total_cost == subset_dp_min_cost(inst).total_cost
+        assert evaluate_assignment(inst, result.choice) == result
 
     def test_deterministic(self, five_books):
         assert brute_force_min_cost(five_books) == brute_force_min_cost(five_books)

@@ -310,3 +310,11 @@ class TestRootBound:
         assert price_vector_min_cost(inst, 8) is None
         with pytest.raises(ResourceLimitError, match="reachable state count 2 exceeds cap 1"):
             price_vector_min_cost(inst, 9)
+
+    def test_decides_before_any_step_is_charged(self, monkeypatch):
+        # 41 books at two shops, under a step cap of 80.  The root bound
+        # decides the odd total before any step is charged, so the answer
+        # is no rather than a refusal.
+        monkeypatch.setattr(exact, "MAX_STATES", 5)
+        gen = from_partition((1,) * 41)
+        assert price_vector_min_cost(gen.instance, gen.target_budget) is None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 import time
 
@@ -12,6 +13,8 @@ from clevershopper import (
     ResourceLimitError,
     brute_force_min_cost,
     evaluate_assignment,
+    from_bin_packing,
+    from_partition,
     make_instance,
     matching2_min_cost,
     random_instance,
@@ -19,6 +22,8 @@ from clevershopper import (
 )
 from clevershopper import exact
 from clevershopper.exact import _earning_sets
+
+import bruteforce
 
 
 class TestSubsetDp:
@@ -44,17 +49,20 @@ class TestSubsetDp:
         assert subset_dp_min_cost(inst).total_cost == 8
 
     def test_book_cap(self):
-        # One shop selling 21 books: its 2^21 subset tables pass MAX_STATES.
+        # The search for a shop's earning sets is charged 2^k steps before
+        # it runs: 21 books are answered, and 25 pass the step cap of
+        # 16 * MAX_STATES on their own, before C(25, 12) sets are met.
         inst = make_instance(21, [(0, 1)], [(b, 0, 1) for b in range(21)])
+        assert subset_dp_min_cost(inst).total_cost == 21
+        inst = make_instance(25, [(1, 12)], [(b, 0, 1) for b in range(25)])
         with pytest.raises(
-            ResourceLimitError,
-            match=r"^shop s1 sells 21 books, its 2\^21 subset tables exceed cap 2000000$",
+            ResourceLimitError, match=r"^step count 33554432 exceeds cap 32000000$"
         ):
             subset_dp_min_cost(inst)
 
     def test_matches_matching2_past_twenty_books(self):
-        # Shops selling at most two books keep the tables small at any n;
-        # matching2 gives the cost.
+        # Shops selling at most two books keep the searches small at any
+        # n; matching2 gives the cost.
         for n in range(21, 25):
             for seed in range(10):
                 inst = random_instance(n, n, shop_degree_cap=2, seed=seed)
@@ -63,8 +71,8 @@ class TestSubsetDp:
                 assert evaluate_assignment(inst, got.choice) == got
 
     def test_state_cap(self, monkeypatch):
-        # A shop's 2^k tables are bounded on their own: the DP's saving
-        # states and back-pointers count against MAX_STATES.
+        # The DP's saving states and back-pointers count against
+        # MAX_STATES.
         inst = random_instance(
             8, 4, unit_prices=True, discount_model=DiscountModel(5, 1, 2), seed=1
         )
@@ -113,6 +121,40 @@ class TestSubsetDp:
         inst = make_instance(2, [(3, 5), (2, 0)], [(0, 0, 5), (1, 0, 1), (1, 1, 1)])
         assert _earning_sets(inst, 0) == [(0b01, 3)]
         assert _earning_sets(inst, 1) == [(0, 2)]
+
+    def test_earning_sets_match_mask_scan(self):
+        # The search meets the sets of the 2^k scan it replaced, in its
+        # order.  Zero and tied prices, threshold-0 and discount-0 shops and
+        # thresholds past a shop's whole offer list all occur.
+        rng = random.Random(24)
+        several = 0  # shops with more than one set, so an order to check
+        for _ in range(1_500):
+            n, m = rng.randint(0, 10), rng.randint(1, 4)
+            top = rng.choice([1, 3, 9])  # unit, tied and spread prices
+            rules = [(0 if rng.random() < 0.2 else rng.randint(1, 40),
+                      0 if rng.random() < 0.1 else rng.randint(1, 3 * top))
+                     for _ in range(m)]
+            offers = []
+            for b in range(n):
+                for s in rng.sample(range(m), rng.randint(1, m)):
+                    offers.append((b, s, 0 if rng.random() < 0.2 else rng.randint(1, top)))
+            inst = make_instance(n, rules, offers)
+            for s in range(m):
+                sets = _earning_sets(inst, s)
+                assert sets == bruteforce.earning_sets_by_masks(inst, s)
+                several += len(sets) > 1
+        gadgets = [
+            from_partition(tuple(rng.choice([0, 0, 1, 2, 5]) for _ in range(rng.randint(1, 12))))
+            for _ in range(100)
+        ]
+        gadgets += [from_bin_packing((3, 0, 5, 7, 2, 4, 0, 6, 1, 8, 9, 3), 4, 12),
+                    from_partition((0,) * 10), from_partition((1,) * 14)]
+        for gen in gadgets:
+            for s in range(gen.instance.num_shops):
+                sets = _earning_sets(gen.instance, s)
+                assert sets == bruteforce.earning_sets_by_masks(gen.instance, s)
+                several += len(sets) > 1
+        assert several > 1_000
 
     # Unit and fixed prices leave no premium, so many threshold-minimal
     # sets tie; threshold-0 shops are drawn throughout, and discount-0
