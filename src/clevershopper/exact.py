@@ -196,16 +196,16 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
     cheapest plan; which one, among equally cheap plans, is not fixed.
 
     Refuses more than ``MAX_STATES`` states and back-pointers, or more
-    than 16 * ``MAX_STATES`` steps: 2^k for the search of a shop's earning
-    sets (k books sold), counted before it runs, then the shop's copy of
-    ``best`` and its (state, earning set) pairs, counted before its pass.
+    than 16 * ``MAX_STATES`` steps: 2^k before the search for the earning sets
+    of a shop selling k books (k at most the cap's bit length), then its copy
+    of ``best`` and its (state, earning set) pairs, before its pass.
     """
     best = {0: 0}
     came_from: list[dict[int, int]] = []  # per shop: state it improved -> state before
     pointers = 0
     steps = _Steps()
     for s in range(instance.num_shops):
-        steps.add(1 << len(instance.books_by_shop[s]))
+        steps.add(1 << min(len(instance.books_by_shop[s]), (16 * MAX_STATES).bit_length()))
         sets = _earning_sets(instance, s)
         steps.add(len(best) * (1 + len(sets)))
         after = dict(best)

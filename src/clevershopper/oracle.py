@@ -1,8 +1,9 @@
 """Brute-force reference solvers.
 
-These enumerate every assignment and exist to be obviously correct, not
-fast: all other solvers are validated against them on small instances.
-No pruning is done beyond an up-front size check.
+These enumerate every assignment, with no pruning beyond an up-front
+size check: all other solvers are validated against them on small
+instances.  Each assignment is priced from the one before it, and the
+tests check the result against independent scans in ``tests/bruteforce.py``.
 """
 
 from __future__ import annotations
@@ -48,19 +49,13 @@ def brute_force_min_cost(instance: Instance) -> SolveResult:
         b = len(pick) - 1
         while b >= 0:
             options = per_book[b]
-            shop, price = options[pick[b]]
-            spend = spends[shop]
-            spends[shop] = spend - price
-            cost -= price
-            if spend >= threshold[shop] > spend - price:
-                cost += discount[shop]
+            old, paid = options[pick[b]]
             pick[b] = (pick[b] + 1) % len(options)
-            shop, price = options[pick[b]]
-            spend = spends[shop]
-            spends[shop] = spend + price
-            cost += price
-            if spend < threshold[shop] <= spend + price:
-                cost -= discount[shop]
+            for shop, delta in ((old, -paid), options[pick[b]]):  # take the book away, then add it
+                t = threshold[shop]
+                before = spends[shop]
+                spends[shop] = after = before + delta
+                cost += delta - discount[shop] * ((after >= t) - (before >= t))
             if pick[b]:
                 break
             b -= 1

@@ -60,6 +60,15 @@ class TestSubsetDp:
         ):
             subset_dp_min_cost(inst)
 
+    def test_huge_shop_refused_with_short_count(self):
+        # 2^20000 has more digits than Python will print by default; the
+        # charge is clamped, so the refusal reads like the 25-book one.
+        inst = make_instance(20000, [(1, 2)], [(b, 0, 1) for b in range(20000)])
+        with pytest.raises(
+            ResourceLimitError, match=r"^step count 33554432 exceeds cap 32000000$"
+        ):
+            subset_dp_min_cost(inst)
+
     def test_matches_matching2_past_twenty_books(self):
         # Shops selling at most two books keep the searches small at any
         # n; matching2 gives the cost.
