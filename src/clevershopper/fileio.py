@@ -20,7 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import DanglingIndex, InputError, ParseError
-from .model import Instance, SolveResult, evaluate_assignment, make_instance
+from .model import Instance, SolveResult, evaluate_assignment, gc_paused, make_instance
 from .sources import CnfFormula, SimpleGraph
 
 
@@ -58,7 +58,16 @@ def _index(token: str, no: int, what: str, limit: int) -> int:
     return value - 1
 
 
+@gc_paused()
 def parse_instance(text: str) -> Instance:
+    """Read an instance file; a fault raises ``ParseError`` with its line
+    number, and an instance ``make_instance`` refuses raises ``InputError``.
+
+    The cyclic garbage collector is paused while the offers are read and
+    the ``Instance`` is built (see ``model.gc_paused``): they are acyclic
+    tuples of ints, so its passes over them would free nothing.  It is
+    restored on return and on error.
+    """
     lines = _significant_lines(text)
     try:
         no, tokens = next(lines)
@@ -82,7 +91,12 @@ def parse_instance(text: str) -> Instance:
 
     rules: dict[int, tuple[int, int]] = {}
     offers: list[tuple[int, int, int]] = []
-    seen: set[int] = set()  # book * num_shops + shop
+    # An offer's key is book * num_shops + shop.  While each key is above
+    # the one before, no line can repeat an offer, so the set of keys is
+    # built only at the first line that steps back; ``last`` then goes
+    # above every key, and ``seen`` decides for the rest of the file.
+    last = -1
+    seen: set[int] = set()
     budget: int | None = None
     for no, tokens in lines:
         kind = tokens[0]
@@ -92,20 +106,26 @@ def parse_instance(text: str) -> Instance:
                 book, shop, price = int(b) - 1, int(s) - 1, int(p)
             except ValueError:
                 book = -1
-            if (
-                0 <= book < num_books and 0 <= shop < num_shops and price >= 0
-                and (key := book * num_shops + shop) not in seen
-            ):
-                seen.add(key)
-                offers.append((book, shop, price))
-                continue
+            if 0 <= book < num_books and 0 <= shop < num_shops and price >= 0:
+                key = book * num_shops + shop
+                if key > last:
+                    last = key
+                    offers.append((book, shop, price))
+                    continue
+                if not seen:
+                    seen = {o[0] * num_shops + o[1] for o in offers}
+                    last = num_books * num_shops
+                if key not in seen:
+                    seen.add(key)
+                    offers.append((book, shop, price))
+                    continue
             # A bad line: raise its first fault in field order.  Past these
             # checks, only a negative price is left.
             if len(tokens) != 4:
                 raise ParseError(no, "expected 'OFFER <book> <shop> <price>'")
             book = _index(tokens[1], no, "book", num_books)
             shop = _index(tokens[2], no, "shop", num_shops)
-            if book * num_shops + shop in seen:
+            if (book, shop) in {o[:2] for o in offers}:
                 raise ParseError(no, f"duplicate offer for book {book + 1} at shop {shop + 1}")
             _int(tokens[3], no, "price")
             raise ParseError(no, "price must be non-negative")

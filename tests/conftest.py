@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,16 @@ FIVE_BOOKS_OFFERS = (
 @pytest.fixture
 def five_books() -> Instance:
     return make_instance(5, [(3, 10)] * 5, FIVE_BOOKS_OFFERS)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_enabled(request) -> bool:
+    """The cyclic collector switched on or off for the test, as the param
+    says, and put back as it was after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import replace
 
@@ -76,6 +77,54 @@ class TestParseInstance:
         text = "CLEVERSHOP 1\nBOOKS 1\nSHOPS 1\nSHOP 1 0 0\nOFFER 1 1 1\nOFFER 1 1 2\n"
         with pytest.raises(ParseError, match="^line 6: duplicate offer for book 1 at shop 1$"):
             parse_instance(text)
+
+    @pytest.mark.parametrize(
+        "offers, message",
+        [
+            # Ascending keys, a step back, then a repeat of an offer made
+            # before the step back.
+            ("OFFER 1 1 1\nOFFER 1 3 1\nOFFER 2 2 1\nOFFER 1 2 1\nOFFER 2 2 5\n",
+             "line 11: duplicate offer for book 2 at shop 2"),
+            # ... and of the offer that stepped back.
+            ("OFFER 2 1 1\nOFFER 1 3 1\nOFFER 2 3 1\nOFFER 1 3 9\n",
+             "line 10: duplicate offer for book 1 at shop 3"),
+            # A repeat of the offer just before it, with no step back yet.
+            ("OFFER 1 1 1\nOFFER 1 2 1\nOFFER 1 2 1\n",
+             "line 9: duplicate offer for book 1 at shop 2"),
+            # A repeat with no step back yet, whose price is bad too.
+            ("OFFER 1 1 1\nOFFER 2 1 1\nOFFER 1 1 -1\n",
+             "line 9: duplicate offer for book 1 at shop 1"),
+            # After a step back, a bad price on a new offer is only that.
+            ("OFFER 2 1 1\nOFFER 1 1 1\nOFFER 1 2 -1\n",
+             "line 9: price must be non-negative"),
+        ],
+        ids=["after-step-back", "of-the-step-back", "before-step-back",
+             "before-step-back-bad-price", "after-step-back-bad-price"],
+    )
+    def test_duplicate_offer_in_any_order(self, offers, message):
+        text = "CLEVERSHOP 1\nBOOKS 2\nSHOPS 3\nSHOP 1 0 0\nSHOP 2 0 0\nSHOP 3 0 0\n" + offers
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("CLEVERSHOP 1\nBOOKS 1\nSHOPS 1\nSHOP 1 0 0\nOFFER 1 1 1\n", None),
+            ("CLEVERSHOP 1\nBOOKS 1\nSHOPS 1\nSHOP 1 0 0\nOFFER 1 1 x\n", ParseError),
+            # Refused by make_instance, past the parser's own checks.
+            ("CLEVERSHOP 1\nBOOKS 2\nSHOPS 1\nSHOP 1 0 0\nOFFER 1 1 1\n", InputError),
+        ],
+        ids=["parsed", "parse-error", "input-error"],
+    )
+    def test_collector_state_restored(self, gc_enabled, text, error):
+        if error is None:
+            parse_instance(text)
+        else:
+            with pytest.raises(error) as exc:
+                parse_instance(text)
+            assert type(exc.value) is error
+        assert gc.isenabled() is gc_enabled
 
     def test_duplicate_budget_line(self):
         text = (

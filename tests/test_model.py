@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import re
 
 import pytest
@@ -20,6 +21,7 @@ from clevershopper import (
     make_instance,
     run_algorithm,
 )
+from clevershopper.model import gc_paused
 
 import bruteforce
 
@@ -109,22 +111,49 @@ class TestValidation:
             Instance(num_books, (DiscountRule(1, 1),), tuple(Offer(*o) for o in offers))
 
     @pytest.mark.parametrize(
-        "offers, message",
+        "num_shops, offers, message",
         [
-            ([(1, 0, 5), (0, 1, 6), (0, 0, 7), (1, 1, 8)],
+            (2, [(1, 0, 5), (0, 1, 6), (0, 0, 7), (1, 1, 8)],
              "offer out of (book, shop) order: book b1 at shop s2 follows book b2 at shop s1"),
-            ([(0, 1, 6), (0, 0, 7), (1, 0, 5), (1, 1, 8)],
+            (2, [(0, 1, 6), (0, 0, 7), (1, 0, 5), (1, 1, 8)],
              "offer out of (book, shop) order: book b1 at shop s1 follows book b1 at shop s2"),
+            # The offer before is at the last shop of a book past the first.
+            (2, [(0, 0, 1), (1, 1, 2), (1, 0, 3), (0, 1, 4)],
+             "offer out of (book, shop) order: book b2 at shop s1 follows book b2 at shop s2"),
+            (1, [(1, 0, 5), (0, 0, 7)],
+             "offer out of (book, shop) order: book b1 at shop s1 follows book b2 at shop s1"),
+            # The book steps back while the shop goes up.
+            (3, [(0, 0, 1), (1, 0, 2), (0, 2, 3), (1, 1, 4)],
+             "offer out of (book, shop) order: book b1 at shop s3 follows book b2 at shop s1"),
         ],
-        ids=["book", "shop"],
+        ids=["book", "shop", "after-last-shop", "one-shop", "book-back-shop-up"],
     )
-    def test_direct_construction_requires_book_shop_order(self, offers, message):
-        rules = (DiscountRule(1, 1), DiscountRule(2, 3))
+    def test_direct_construction_requires_book_shop_order(self, num_shops, offers, message):
+        rules = [(s + 1, s + 1) for s in range(num_shops)]
+        discount_rules = tuple(DiscountRule(d, t) for d, t in rules)
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            Instance(2, rules, tuple(Offer(*o) for o in offers))
+            Instance(2, discount_rules, tuple(Offer(*o) for o in offers))
         # make_instance sorts the same offers into that order.
-        in_order = Instance(2, rules, tuple(Offer(*o) for o in sorted(offers)))
-        assert make_instance(2, [(1, 1), (2, 3)], offers) == in_order
+        in_order = Instance(2, discount_rules, tuple(Offer(*o) for o in sorted(offers)))
+        assert make_instance(2, rules, offers) == in_order
+
+
+class TestGcPaused:
+    def test_off_in_the_block_and_restored_after(self, gc_enabled):
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is gc_enabled
+
+    def test_restored_when_the_block_raises(self, gc_enabled):
+        with pytest.raises(ValueError):
+            with gc_paused():
+                raise ValueError
+        assert gc.isenabled() is gc_enabled
+
+    @pytest.mark.parametrize("table", ["offers_by_book", "books_by_shop", "price"])
+    def test_tables_restore_the_collector(self, gc_enabled, five_books, table):
+        assert getattr(five_books, table)
+        assert gc.isenabled() is gc_enabled
 
 
 @st.composite
