@@ -7,6 +7,7 @@ down.  Results are plain dicts ready for JSON.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from multiprocessing import Pipe, Process
@@ -46,6 +47,9 @@ def run_algorithm(name: str, instance: Instance) -> SolveResult:
 
 
 def _worker(path: str, algo: str, conn) -> None:
+    # This process lives for one solve: the collector stays off, as
+    # ``cli.main`` has it, whichever way multiprocessing started it.
+    gc.disable()
     try:
         instance = parse_instance(read_file(path))
         start = time.perf_counter()

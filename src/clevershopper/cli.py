@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -299,6 +300,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # The cyclic collector is off while the command runs, and restored
+    # after it on every exit (one that was off stays off).  A large
+    # instance loads as hundreds of thousands of tuples of ints with no
+    # cycles: reference counting frees them, and the collector's passes
+    # over them, set off by the allocation count, free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a reader that has gone fails it here
@@ -317,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

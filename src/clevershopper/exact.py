@@ -192,7 +192,9 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
     discount claims a set of books and saves its discount less what those
     books cost there above their cheapest price; the sets of different
     shops are disjoint.  ``best[B]`` is the largest total saving of the
-    shops so far whose claimed books are exactly ``B``.  Returns one
+    shops so far whose claimed books are exactly ``B``: a mask over only
+    the books that some earning set holds, numbered in the order the sets
+    first hold them, so its size does not grow with n.  Returns one
     cheapest plan; which one, among equally cheap plans, is not fixed.
 
     Refuses more than ``MAX_STATES`` states and back-pointers, or more
@@ -204,9 +206,17 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
     came_from: list[dict[int, int]] = []  # per shop: state it improved -> state before
     pointers = 0
     steps = _Steps()
+    bit: dict[int, int] = {}  # book -> its state bit, numbered as earning sets first hold them
     for s in range(instance.num_shops):
         steps.add(1 << min(len(instance.books_by_shop[s]), (16 * MAX_STATES).bit_length()))
-        sets = _earning_sets(instance, s)
+        sets = []
+        for gmask, gain in _earning_sets(instance, s):
+            mask = 0
+            while gmask:
+                b = gmask.bit_length() - 1
+                gmask ^= 1 << b
+                mask |= 1 << bit.setdefault(b, len(bit))
+            sets.append((mask, gain))
         steps.add(len(best) * (1 + len(sets)))
         after = dict(best)
         back: dict[int, int] = {}
@@ -229,9 +239,10 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
     state = max(best, key=best.__getitem__)
     saving = best[state]
     claims = []
+    books = list(bit)  # bit i's book is at index i
     for s in range(instance.num_shops - 1, -1, -1):
         prev = came_from[s].get(state, state)
-        claims += [(b, s) for b in instance.books_by_shop[s] if (state ^ prev) >> b & 1]
+        claims += [(b, s) for i, b in enumerate(books) if (state ^ prev) >> i & 1]
         state = prev
     assert state == 0
     return _claimed_plan(instance, claims, saving)

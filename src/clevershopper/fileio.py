@@ -20,7 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import DanglingIndex, InputError, ParseError
-from .model import Instance, SolveResult, evaluate_assignment, gc_paused, make_instance
+from .model import Instance, SolveResult, evaluate_assignment, make_instance
 from .sources import CnfFormula, SimpleGraph
 
 
@@ -58,16 +58,9 @@ def _index(token: str, no: int, what: str, limit: int) -> int:
     return value - 1
 
 
-@gc_paused()
 def parse_instance(text: str) -> Instance:
     """Read an instance file; a fault raises ``ParseError`` with its line
-    number, and an instance ``make_instance`` refuses raises ``InputError``.
-
-    The cyclic garbage collector is paused while the offers are read and
-    the ``Instance`` is built (see ``model.gc_paused``): they are acyclic
-    tuples of ints, so its passes over them would free nothing.  It is
-    restored on return and on error.
-    """
+    number, and an instance ``make_instance`` refuses raises ``InputError``."""
     lines = _significant_lines(text)
     try:
         no, tokens = next(lines)

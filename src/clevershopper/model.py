@@ -14,37 +14,14 @@ All indices are dense and 0-based.  Money is plain ``int`` throughout.
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DanglingIndex, InputError, NegativeValue
-
-
-@contextmanager
-def gc_paused() -> Iterator[None]:
-    """Turn the cyclic garbage collector off for the block, or for each
-    call of a function decorated with ``@gc_paused()``, then restore the
-    state it found, also when the block raises.
-
-    Loading an instance allocates hundreds of thousands of tuples of ints.
-    They hold no cycles, so the collector's passes over them, which its
-    allocation counts set off, free nothing; on a 153,201-offer file they
-    were a fifth of the load time.  Reference counting still frees
-    everything, and a collector that was already off stays off.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 class Offer(NamedTuple):
@@ -122,13 +99,11 @@ class Instance:
         return len(self.rules)
 
     @cached_property
-    @gc_paused()
     def price(self) -> dict[tuple[int, int], int]:
         """Offer lookup keyed by (book, shop)."""
         return {(o.book, o.shop): o.price for o in self.offers}
 
     @cached_property
-    @gc_paused()
     def offers_by_book(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per book, the (shop, price) pairs offering it, ascending by shop
         because ``offers`` is in (book, shop) order."""
@@ -143,7 +118,6 @@ class Instance:
         return tuple(min(pairs, key=itemgetter(1)) for pairs in self.offers_by_book)
 
     @cached_property
-    @gc_paused()
     def books_by_shop(self) -> tuple[tuple[int, ...], ...]:
         """Per shop, the books it sells, ascending."""
         per_shop: list[list[int]] = [[] for _ in range(self.num_shops)]

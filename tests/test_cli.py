@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -23,7 +24,7 @@ from clevershopper import (
     random_instance,
     serialize_instance,
 )
-from clevershopper import exact, reductions
+from clevershopper import cli, exact, reductions
 from clevershopper.bench import ALGORITHM_NAMES
 from clevershopper.cli import main
 
@@ -869,6 +870,50 @@ class TestBench:
         )
         assert code == 2
         assert "simplex" in err
+
+
+class TestCollectorPause:
+    """``main`` turns the cyclic collector off while a command runs and
+    restores the state it found, whatever the exit."""
+
+    def test_off_while_the_command_runs(self, capsys, monkeypatch, gc_enabled, five_books_path):
+        seen = []
+
+        def spy(text):
+            seen.append(gc.isenabled())
+            return parse_instance(text)
+
+        monkeypatch.setattr(cli, "parse_instance", spy)
+        assert run_cli(capsys, "solve", "--input", str(five_books_path), "--algo", "oracle")[0] == 0
+        assert seen == [False]
+        assert gc.isenabled() is gc_enabled
+
+    @pytest.mark.parametrize(
+        "flags, max_states, code",
+        [
+            (["--algo", "oracle"], None, 0),
+            (["--algo", "oracle", "--budget", "33"], None, 1),
+            (["--algo", "fstar"], None, 2),  # prices that are not all 1
+            (["--algo", "subset-dp"], 1, 3),
+        ],
+        ids=["solved", "budget-no", "input-error", "cap"],
+    )
+    def test_restored_after_each_exit_code(
+        self, capsys, monkeypatch, gc_enabled, five_books_path, flags, max_states, code
+    ):
+        if max_states is not None:
+            monkeypatch.setattr(exact, "MAX_STATES", max_states)
+        assert run_cli(capsys, "solve", "--input", str(five_books_path), *flags)[0] == code
+        assert gc.isenabled() is gc_enabled
+
+    def test_restored_when_the_command_raises(self, monkeypatch, gc_enabled, five_books_path):
+        def fail(text):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "parse_instance", fail)
+        with pytest.raises(RuntimeError, match="^boom$"):
+            main(["solve", "--input", str(five_books_path), "--algo", "oracle"])
+        assert gc.isenabled() is gc_enabled
 
 
 def test_module_entry_point():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,29 @@ class TestSubsetDp:
             subset_dp_min_cost(inst)
         size = re.match(r"reachable state count (\d+) ", str(refused.value))
         assert int(size[1]) <= cap + 2 * most_sets
+
+    def test_state_size_bounded_by_earning_set_books(self, monkeypatch):
+        # 14 shops each earn 2 on one of their 3 books among the last 42
+        # of 20,000; the rest cost 5 at a shop with no discount.  A state
+        # holds bits for those 42 books only: numbered by global index,
+        # each state is a 20,000-bit int, and the refused DP peaked at
+        # 27.8 MB here, against 1.4 MB.
+        n = 20_000
+        offers = [(b, 14, 5) for b in range(n - 42)]
+        offers += [(b, (b - n + 42) // 3, 1) for b in range(n - 42, n)]
+        inst = make_instance(n, [(2, 1)] * 14 + [(0, 0)], offers)
+        inst.price, inst.books_by_shop, inst.cheapest  # built before the count
+        monkeypatch.setattr(exact, "MAX_STATES", 20_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ResourceLimitError, match=r"^reachable state count 20005 exceeds cap 20000$"
+            ):
+                subset_dp_min_cost(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000))
