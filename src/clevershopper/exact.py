@@ -61,8 +61,8 @@ from .model import (
 # Caps, read when a solver is called; past them a solver raises a
 # ``ResourceLimitError`` instead of running.  Both DPs keep at most
 # MAX_STATES entries, and they and fstar take at most 16 * MAX_STATES
-# steps: 16 is four offers of a book, each building a spend vector of
-# four shops.
+# steps: 16 is four offers of a book, each charged one step per shop of
+# a four-shop spend vector.
 MAX_STATES = 2_000_000  # DP entries of price_vector_min_cost and subset_dp_min_cost
 
 
@@ -281,7 +281,10 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     bound against the budget or the cheapest plan.
 
     Books are placed one at a time, and each layer holds the spend vectors
-    reachable so far.  After books 0..i-1, a vector v is dropped when
+    reachable so far.  A vector is one int of equal bit fields, wide enough
+    for the most any shop sells, with shop 0 in the highest field, so int
+    order is the spends' lexicographic order.  After books 0..i-1, a vector
+    v is dropped when
 
         LB(v) = sum(v) + R_i - (discounts of the shops s with v_s + A_si >= t_s)
 
@@ -310,13 +313,12 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     lexicographically smallest kept predecessor of v.
 
     Refuses more than ``MAX_STATES`` kept vectors, or more than 16 *
-    ``MAX_STATES`` steps: an m-tuple per (vector, offer) pair, counted before
-    each offer's pass.  At m <= 4 only the vector cap refuses: at most four
-    offers of a book pass over each kept vector, at four steps each.
+    ``MAX_STATES`` steps: m per (vector, offer) pair, one per shop, counted
+    before each offer's pass.  At m <= 4 only the vector cap refuses: at most
+    four offers of a book pass over each kept vector, at four steps each.
     """
     m = instance.num_shops
     n = instance.num_books
-    shops = range(m)
     discount = [rule.discount for rule in instance.rules]
 
     bound = evaluate_assignment(instance, cheapest_plan(instance)).total_cost
@@ -325,30 +327,38 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         if _root_bound(instance) > bound:  # no plan is within it
             return None
 
+    # Shop s's spend is the W-bit field at shift[s], where W fits the most
+    # any shop sells; raising it by p adds p << shift[s].
+    sells = [0] * m
+    for _, shop, price in instance.offers:
+        sells[shop] += price
+    width = max(max(sells, default=0).bit_length(), 1)
+    shift = [width * (m - 1 - s) for s in range(m)]
+    mask = (1 << width) - 1
+
     # In book b's pass, rest = R_(b+1) and reach[s] = t_s - A_s(b+1): from
     # that spend after books 0..b, the books left can still earn s's discount.
     cheap = rest = sum(price for _, price in instance.cheapest)
-    reach = [rule.threshold for rule in instance.rules]
-    for _, shop, price in instance.offers:
-        reach[shop] -= price
+    reach = [rule.threshold - sold for rule, sold in zip(instance.rules, sells)]
 
-    groups = _interchangeable(instance)
-    later: list[tuple[int, ...]] = [()] * m  # the shops after s in its group
-    for group in groups:
+    groups = []  # the shifts of each group's shops
+    later: list[list[int]] = [[]] * m  # the shifts of the shops after s in its group
+    for group in _interchangeable(instance):
+        groups.append([shift[s] for s in group])
         for i, s in enumerate(group):
-            later[s] = tuple(group[i + 1 :])
+            later[s] = groups[-1][i + 1 :]
 
     # layers[i] holds the kept canonical spend vectors after books 0..i-1.
-    layers: list[set[tuple[int, ...]]] = [{(0,) * m}]
+    layers: list[set[int]] = [{0}]
     total = 1
-    steps = _Steps()  # an m-tuple built per (vector, offer) pair
+    steps = _Steps()  # m per (vector, offer) pair
     for b in range(n):
         offers = instance.offers_by_book[b]
         for shop, price in offers:
             reach[shop] += price
         rest -= instance.cheapest[b][1]
         slack = bound - rest
-        nxt: set[tuple[int, ...]] = set()
+        nxt: set[int] = set()
         room = MAX_STATES - total  # for this layer's vectors
         # Each state adds at most one vector per offer of book b, so a
         # layer within this product cannot pass the cap and skips the test.
@@ -356,41 +366,47 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         # A successor's LB - R_(b+1) is base + the price of book b, less
         # the discount of its shop if that price lifts the spend there to
         # ``reach``: base counts the discounts already in reach.
+        fields = list(zip(shift, reach, discount))
         bases = []
         for state in layers[-1]:
-            base = sum(state)
-            for s in shops:
-                if state[s] >= reach[s]:
-                    base -= discount[s]
+            base = 0
+            for at, need, off in fields:
+                spend = state >> at & mask
+                base += spend - off if spend >= need else spend
             bases.append(base)
         for shop, price in offers:
             steps.add(len(bases) * m)
             cut = slack - price
             after = later[shop]
+            at = shift[shop]
+            step = price << at
+            need, off = reach[shop], discount[shop]
             for state, base in zip(layers[-1], bases):
                 if base > cut:
-                    spend = state[shop]
-                    if base - discount[shop] > cut or not spend < reach[shop] <= spend + price:
+                    spend = state >> at & mask
+                    if base - off > cut or not spend < need <= spend + price:
                         continue
+                v = state + step
                 # A raised spend that passes the next shop of its group
                 # moves right past the smaller spends, so the vector stays
                 # canonical.  If that shop spends the same, raising it
                 # instead reaches the same orbit, so the offer is skipped.
-                if after and state[after[0]] < state[shop] + price:
-                    if state[after[0]] == state[shop]:
-                        continue
-                    spend = state[shop] + price
-                    v = list(state)
-                    at = shop
-                    for s in after:
-                        if state[s] >= spend:
-                            break
-                        v[at] = state[s]
-                        at = s
-                    v[at] = spend
-                    nxt.add(tuple(v))
-                else:
-                    nxt.add(state[:shop] + (state[shop] + price,) + state[shop + 1 :])
+                if after:
+                    old = state >> at & mask
+                    spend = old + price
+                    moved = state >> after[0] & mask
+                    if moved < spend:
+                        if moved == old:
+                            continue
+                        v, to = state, at
+                        for s in after:
+                            moved = state >> s & mask
+                            if moved >= spend:
+                                break
+                            v += (moved - old) << to
+                            to, old = s, moved
+                        v += (spend - old) << to
+                nxt.add(v)
                 if capped and len(nxt) > room:
                     size = total + len(nxt)
                     raise ResourceLimitError(
@@ -399,20 +415,21 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         total += len(nxt)
         layers.append(nxt)
 
-    best = min(
-        ((sum(v) - sum(map(discount_earned, instance.rules, v)), v) for v in layers[-1]),
-        default=None,
-    )
+    def cost(v: int) -> int:
+        spends = [v >> at & mask for at in shift]
+        return sum(spends) - sum(map(discount_earned, instance.rules, spends))
+
+    best = min(((cost(v), v) for v in layers[-1]), default=None)
     if best is None or best[0] > bound:  # with no books, nothing was checked
         return None
     best_cost, state = best
 
-    def canonical(v: tuple[int, ...]) -> tuple[int, ...]:
-        w = list(v)
+    def canonical(v: int) -> int:
         for group in groups:
-            for s, spend in zip(group, sorted(v[s] for s in group)):
-                w[s] = spend
-        return tuple(w)
+            spends = sorted(v >> at & mask for at in group)
+            for at, spend in zip(group, spends):
+                v += (spend - (v >> at & mask)) << at
+        return v
 
     claims = []  # every book, at the shop whose offer leads back to a kept vector
     for b in range(n - 1, -1, -1):
@@ -420,10 +437,9 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         if instance.cheapest[b][1] == 0:  # zero prices go last
             offers = sorted(offers, key=lambda offer: offer[1] == 0)
         for shop, price in offers:
-            spend = state[shop] - price
-            if spend < 0:
+            if state >> shift[shop] & mask < price:
                 continue
-            prev = state[:shop] + (spend,) + state[shop + 1 :]
+            prev = state - (price << shift[shop])
             if (canonical(prev) if groups else prev) in layers[b]:
                 break
         state = prev

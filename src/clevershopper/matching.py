@@ -489,6 +489,10 @@ def _match_component(
             ):
                 expand_blossom(b, True)
 
+    # The recursive closures reach themselves through their cells, a cycle
+    # that would hold this component's lists until the collector runs.
+    del blossom_leaves, assign_label, expand_blossom, augment_blossom
+
     pairs: set[tuple[int, int]] = set()
     for v in range(nvertex):
         if mate[v] >= 0:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -89,6 +90,24 @@ class TestSmallGraphs:
         m = max_weight_matching(g)
         assert_valid_matching(g, m)
         assert bruteforce.matching_weight(g, m) == 28
+
+    def test_blossoms_leave_no_cycles(self):
+        # The solver's recursive helpers would reach themselves through
+        # their closures; with the collector off, as the CLI runs, such a
+        # cycle would hold the component's lists until the command ends.
+        g = graph(
+            6,
+            [(0, 1, 10), (1, 2, 10), (0, 2, 10), (2, 3, 8), (3, 4, 10), (4, 5, 10), (3, 5, 10)],
+        )
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            max_weight_matching(g)
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
 
     def test_maximum_weight_not_maximum_cardinality(self):
         # the single heavy edge beats every size-2 matching

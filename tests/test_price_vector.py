@@ -17,6 +17,8 @@ from clevershopper import (
     make_instance,
     price_vector_min_cost,
     random_instance,
+    run_algorithm,
+    subset_dp_min_cost,
 )
 from clevershopper import exact
 
@@ -256,6 +258,38 @@ class TestOptimization:
             first = price_vector_min_cost(inst)
             assert price_vector_min_cost(inst) == first
             assert evaluate_assignment(inst, first.choice) == first
+
+
+class TestPackedVectors:
+    """A spend vector is one int of bit fields as wide as the most any
+    shop sells: the edges of that packing."""
+
+    def test_no_books_no_shops(self):
+        result = run_algorithm("price-dp", make_instance(0, [], []))
+        assert (result.choice, result.total_cost, result.per_shop_spend) == ((), 0, ())
+
+    def test_all_prices_zero(self):
+        # Every field stays 0 and is one bit wide; only threshold-0 shops
+        # earn, and the zero-price tie-breaks pick the plan.
+        inst = make_instance(
+            4, [(2, 0), (3, 1), (5, 0)], [(b, s, 0) for b in range(4) for s in range(3) if b != s]
+        )
+        _assert_pinned_plan(inst, random.Random(0))
+        assert price_vector_min_cost(inst).total_cost == -7
+
+    def test_fields_near_1e18(self):
+        # Shop s1 sells about 4 * 10^18, so each field is 62 bits; s2 and
+        # s3 are interchangeable and both earn at the optimum.
+        e = 10**18
+        inst = make_instance(
+            4,
+            [(5 * e // 10, 2 * e + 1), (6 * e // 10, 2 * e), (6 * e // 10, 2 * e)],
+            [(b, 0, e + b) for b in range(4)] + [(b, s, e + 3 - b) for b in range(4) for s in (1, 2)],
+        )
+        result = price_vector_min_cost(inst)
+        assert result.total_cost == subset_dp_min_cost(inst).total_cost == 28 * e // 10 + 6
+        assert result.per_shop_spend == (0, 2 * e + 1, 2 * e + 5)
+        _assert_pinned_plan(inst, random.Random(0))
 
 
 class TestRootBound:
