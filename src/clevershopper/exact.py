@@ -31,9 +31,11 @@
   the two books.
 * ``fstar_unit_price_min_cost``: unit prices, few shops.  Branch and
   bound over the sets of shops that earn their discounts, in lexicographic
-  order, pruned by a knapsack bound on the discount still reachable; each
-  set reached is checked with a degree-constrained subgraph (flow)
-  computation.
+  order, pruned by a knapsack bound on the discount still reachable.  One
+  assignment of books to the current set's shops is kept from node to
+  node: adding a shop runs one augmenting-path search per threshold unit,
+  rooted at that shop, and leaving it undoes their moves.  The best set's
+  plan comes from one degree-constrained subgraph (flow) computation.
 
 Every solver returns through ``_claimed_plan``: the cheapest plan with
 the books it claims moved to their shops, priced and checked against the
@@ -548,40 +550,43 @@ def max_fstar_subgraph(
     for root in range(n):
         if not free:
             break  # every slot is held, so no search can succeed
-        # Depth-first search for an augmenting path, on an explicit stack:
-        # path[i] is a book, at[i] the index of the shop it is trying, and
-        # slots[i] the (shop, slot) it would take from path[i + 1].
-        path, at, slots = [root], [0], []
+        # Depth-first search for an augmenting path, on an explicit stack.
+        # Book b is trying options[k]; below it, path holds the books it
+        # passed through, at the index each goes on from, and slots[i] the
+        # (shop, slot) path[i] takes from the book after it.
+        b, options, k = root, shops_of[root], 0
+        path: list[int] = []
+        at: list[int] = []
+        slots: list[tuple[int, int]] = []
         tries = 0
-        while path:
-            b = path[-1]
-            options = shops_of[b]
-            while at[-1] < len(options):
-                tries += 1
-                s = options[at[-1]]
-                slot = tried[s] if seen[s] == root else 0
-                if slot == caps[s]:
-                    at[-1] += 1
-                    continue
-                seen[s], tried[s] = root, slot + 1
-                if slot == len(holders[s]):  # a free slot: flip the path
-                    free -= 1
-                    holders[s].append(b)
-                    shop_of[b] = s
-                    for book, (t, i) in zip(path, slots):
-                        holders[t][i] = book
-                        shop_of[book] = t
-                    path = []
+        while True:
+            if k == len(options):  # every shop of b is tried: back up
+                if not path:
                     break
-                slots.append((s, slot))
-                path.append(holders[s][slot])
-                at.append(0)
+                b, k = path.pop(), at.pop()
+                options = shops_of[b]
+                slots.pop()
+                continue
+            tries += 1
+            s = options[k]
+            slot = tried[s] if seen[s] == root else 0
+            if slot == caps[s]:
+                k += 1
+                continue
+            seen[s], tried[s] = root, slot + 1
+            if slot == len(holders[s]):  # a free slot: flip the path
+                free -= 1
+                holders[s].append(b)
+                shop_of[b] = s
+                for book, (t, i) in zip(path, slots):
+                    holders[t][i] = book
+                    shop_of[book] = t
                 break
-            else:
-                path.pop()
-                at.pop()
-                if slots:
-                    slots.pop()
+            path.append(b)
+            at.append(k)
+            slots.append((s, slot))
+            b = holders[s][slot]
+            options, k = shops_of[b], 0
         if steps is not None:
             steps.add(tries)
 
@@ -592,11 +597,11 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
     """Minimum cost for unit-price instances by branch and bound over the
     sets of shops that earn their discounts.
 
-    A set S of shops can earn its discounts iff the offer graph has a
-    subgraph hitting every shop of S exactly at its threshold with books
-    used at most once (``max_fstar_subgraph`` fills every slot); the cost
-    is then (number of books) - (discounts of S).  Ties between optimal
-    sets go to the lexicographically smallest shop tuple.
+    A set S of shops can earn its discounts iff its shops can each be
+    given exactly their threshold of books, with books used at most once:
+    an assignment that fills every slot.  The cost is then (number of
+    books) - (discounts of S).  Ties between optimal sets go to the
+    lexicographically smallest shop tuple.
 
     The search is depth-first: a node is a set S, and its children add one
     shop j above S's largest, in increasing j.  Pre-order then visits the
@@ -610,16 +615,29 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
       discount shops j.. could add, as a fractional knapsack on the books
       S leaves free, does not beat the best cost.  The knapsack only
       shrinks as j grows, so no later j would pass;
-    * feasibility: the flow runs for S + j only once the bound has passed,
-      and the search goes below S + j only if the flow fills every slot.
-      Feasible sets are closed under subsets, so a failed check prunes
-      every superset.
+    * feasibility: the search goes below S + j only if S + j fills every
+      slot.  Feasible sets are closed under subsets, so a failed check
+      prunes every superset.
 
-    Refuses more than 16 * ``MAX_STATES`` steps: the books, shops and
-    offers of the flow network, counted before each flow check, and the
-    offers its searches try.  That pays for the loop too: a node's bound,
-    which scans up to m shops, leads to a check or ends a level that a
-    check opened, and a level skips at most m shops.
+    The check does not rebuild a flow.  One assignment ``shop_of`` of the
+    books to S's shops lives through the whole search.  S fills every
+    slot, so an augmenting path for S + j can end only at j: adding j
+    runs t_j searches rooted at j.  Each is depth-first: from a shop it
+    tries the books the shop sells, enters the shop holding a book (each
+    shop at most once a search), and on meeting a free book moves every
+    book on its path one shop back.  The first search that fails makes
+    S + j infeasible.  Every move is logged as (book, old shop), and
+    leaving S + j undoes the log back to where adding j began.  The plan comes from one
+    ``max_fstar_subgraph`` call on the best set's thresholds, so it does
+    not depend on the order of the moves.
+
+    Refuses more than 16 * ``MAX_STATES`` steps: m for each set checked;
+    one more than the offers each search tries; and the final call's
+    network (its books, shops and offers) and the offers its searches
+    try.  That pays for the rest.  A check follows one bound, which scans
+    up to m shops, and a feasible check opens a level, which skips at
+    most m shops and ends at one more bound; the root level's are paid by
+    the final network.  Undoing a move follows the try that made it.
     """
     m = instance.num_shops
     for o in instance.offers:
@@ -630,11 +648,16 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
             )
     n = instance.num_books
     rules = instance.rules
+    sells = instance.books_by_shop
     by_ratio = _by_ratio(rules, (s for s in range(m) if rules[s].discount))
-    network = n + m + len(instance.offers)  # steps charged per flow check
     steps = _Steps()
     caps = [0] * m  # thresholds of the shops in the current set, 0 elsewhere
-    best_cost, best_star = n, ()  # the empty set, first in the order, costs n
+    best_cost, best_caps = n, tuple(caps)  # the empty set, first in the order, costs n
+
+    shop_of = [m] * n  # the shop holding each book; m while it is free
+    log: list[tuple[int, int]] = []  # (book, old shop) of every move
+    stamp = [0] * (m + 1)  # the last search that entered each shop; 0 for m, "free"
+    searches = 0
 
     def reach(start: int, room: int) -> int:
         """An upper bound on the discount shops start.. can add with
@@ -652,7 +675,59 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
             room -= t
         return total
 
-    path: list[int] = []  # the current set's shops, ascending
+    def fill(j: int, t: int) -> bool:
+        """Gives shop j t books, or returns False at the first search that
+        finds no augmenting path."""
+        nonlocal searches
+        for _ in range(t):
+            searches += 1
+            search = stamp[j] = searches
+            # The search is at shop s, trying its books from index i.  Below
+            # it, chain holds the shops it passed through, at the index each
+            # goes on from, and via[k] the book by which it left chain[k].
+            s, books, i = j, sells[j], 0
+            chain: list[int] = []
+            at: list[int] = []
+            via: list[int] = []
+            tries = 1
+            while True:
+                start, end = i, len(books)
+                for i in range(i, end):
+                    if stamp[shop_of[books[i]]] != search:
+                        break
+                else:  # every book leads to a shop entered already
+                    tries += end - start
+                    if not chain:
+                        steps.add(tries)
+                        return False
+                    s, i = chain.pop(), at.pop()
+                    books = sells[s]
+                    via.pop()
+                    continue
+                tries += i - start + 1
+                b = books[i]
+                held = shop_of[b]
+                if held == m:  # a free book: each book on the chain moves back one shop
+                    log.append((b, m))
+                    shop_of[b] = s
+                    for book, shop in zip(via, chain):
+                        log.append((book, shop_of[book]))
+                        shop_of[book] = shop
+                    break
+                stamp[held] = search
+                chain.append(s)
+                at.append(i + 1)
+                via.append(b)
+                s, books, i = held, sells[held], 0
+            steps.add(tries)
+        return True
+
+    def undo(mark: int) -> None:
+        while len(log) > mark:
+            book, shop = log.pop()
+            shop_of[book] = shop
+
+    path: list[tuple[int, int]] = []  # the current set's shops, ascending, each with its log mark
     disc = tsum = 0  # its discounts and thresholds, summed
     j = 0  # the next shop to try adding to it
     while True:
@@ -664,23 +739,27 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
         if j == m or n - disc - reach(j, n - tsum) >= best_cost:
             if not path:
                 break
-            j = path.pop()
+            j, mark = path.pop()
+            undo(mark)
             caps[j] = 0
             disc -= rules[j].discount
             tsum -= rules[j].threshold
             j += 1
             continue
-        t = caps[j] = rules[j].threshold
-        steps.add(network)
-        star = max_fstar_subgraph(instance, StarDegreeBound(tuple(caps)), steps=steps)
-        if len(star) == tsum + t:  # feasible: go below S + j
-            path.append(j)
+        steps.add(m)
+        t = rules[j].threshold
+        mark = len(log)
+        if fill(j, t):  # feasible: go below S + j
+            path.append((j, mark))
+            caps[j] = t
             disc += rules[j].discount
             tsum += t
             if n - disc < best_cost:
-                best_cost, best_star = n - disc, star
+                best_cost, best_caps = n - disc, tuple(caps)
         else:
-            caps[j] = 0
+            undo(mark)
         j += 1
 
-    return _claimed_plan(instance, best_star, n - best_cost)  # each book costs 1 at its cheapest
+    steps.add(n + m + len(instance.offers))
+    star = max_fstar_subgraph(instance, StarDegreeBound(best_caps), steps=steps)
+    return _claimed_plan(instance, star, n - best_cost)  # each book costs 1 at its cheapest

@@ -199,7 +199,7 @@ class TestSolve:
             ),
             pytest.param(
                 "fstar", random_instance(200, 30, unit_prices=True, seed=1), [], 1000,
-                "step count 18072 exceeds cap 16000", id="fstar-steps",
+                "step count 16348 exceeds cap 16000", id="fstar-steps",
             ),
             pytest.param(
                 "oracle",

@@ -1,7 +1,9 @@
 """The exact solvers agree past the oracle's reach.
 
 A seeded sweep compares price-dp with subset-dp on 8 to 12 books and 2 to
-6 shops, where the brute-force oracle is too slow, and checks relations
+6 shops, where the brute-force oracle is too slow, as well as fstar on the
+unit-price draws and matching2 on the draws where every shop sells at
+most two books.  It also checks relations
 that every minimum cost keeps: relabelling shops or books, copying a shop
 that cannot earn its discount twice, adding a shop with no discount and no
 cheaper price, and scaling every number by c.  Only costs are compared,
@@ -17,7 +19,9 @@ import time
 from clevershopper import (
     DiscountModel,
     Instance,
+    fstar_unit_price_min_cost,
     make_instance,
+    matching2_min_cost,
     price_vector_min_cost,
     random_instance,
     subset_dp_min_cost,
@@ -26,12 +30,12 @@ from clevershopper import (
 DRAWS = 200
 
 
-def _draw(rng: random.Random) -> Instance:
+def _draw(rng: random.Random) -> tuple[str, Instance]:
     n = rng.randint(8, 12)
     m = rng.randint(2, 6)
     kind = rng.choice(("random", "unit", "degree-2"))
     if kind == "unit":
-        return random_instance(
+        return kind, random_instance(
             n, m, unit_prices=True,
             discount_model=DiscountModel(max_discount=4, min_threshold=0),
             seed=rng.randrange(10**6),
@@ -40,7 +44,7 @@ def _draw(rng: random.Random) -> Instance:
     if kind == "degree-2":
         m = max(m, (n + 1) // 2)
         cap = 2
-    return random_instance(
+    return kind, random_instance(
         n, m, max_price=rng.choice((3, 10)), shop_degree_cap=cap,
         discount_model=DiscountModel(max_discount=rng.choice((5, 15)), min_threshold=0),
         seed=rng.randrange(10**6),
@@ -91,8 +95,10 @@ def test_price_dp_matches_subset_dp_and_cost_relations_hold():
     start = time.perf_counter()
     rng = random.Random(4)
     copies = budgets = kept = 0
+    kinds = {"random": 0, "unit": 0, "degree-2": 0}
     for _ in range(DRAWS):
-        base = _draw(rng)
+        kind, base = _draw(rng)
+        kinds[kind] += 1
         opt = subset_dp_min_cost(base).total_cost
         s = rng.randrange(base.num_shops)
         copied = _copy_shop(base, s)
@@ -109,6 +115,11 @@ def test_price_dp_matches_subset_dp_and_cost_relations_hold():
         copies += inst is copied
 
         assert price_vector_min_cost(inst).total_cost == opt
+        # A copy keeps the shop's prices and how many books it sells.
+        if kind == "unit":
+            assert fstar_unit_price_min_cost(inst).total_cost == opt
+        elif kind == "degree-2":
+            assert matching2_min_cost(inst).total_cost == opt
         for budget in rng.sample(range(opt - 3, opt + 4), 2):
             budgets += 1
             result = price_vector_min_cost(inst, budget)
@@ -134,4 +145,5 @@ def test_price_dp_matches_subset_dp_and_cost_relations_hold():
 
     assert 0.3 * DRAWS < copies < 0.7 * DRAWS and budgets == 2 * DRAWS
     assert kept > DRAWS // 5
+    assert min(kinds.values()) > DRAWS // 5
     assert time.perf_counter() - start < 30

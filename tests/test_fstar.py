@@ -87,6 +87,13 @@ class TestStarSubgraph:
             assert len(got) == bruteforce.brute_fstar_size(edges, caps)
 
 
+# Shop s sells book s, or books s and s + 1.
+CHAIN_SHAPE = make_instance(400, [(1, 1)] * 400, [(s, s, 1) for s in range(400)])
+PATH_SHAPE = make_instance(
+    120, [(1, 1)] * 120, [(b, s, 1) for b in range(120) for s in (b - 1, b) if 0 <= s < 120]
+)
+
+
 class TestUnitPriceSolver:
     def test_perfect_code_instance(self, code_graph):
         gen = from_perfect_code(code_graph, 2)
@@ -114,27 +121,19 @@ class TestUnitPriceSolver:
     @pytest.mark.parametrize(
         "inst, max_states, message",
         [
-            # Each flow check charges the 200 books, 30 shops and their
-            # offers, and the offers its searches try.
+            # 109 searches at 30 checks try about 140 offers each, up to
+            # 508: they pass the cap before the final call.
             pytest.param(
                 random_instance(200, 30, unit_prices=True, seed=1), 1000,
-                "step count 18072 exceeds cap 16000", id="random",
+                "step count 16348 exceeds cap 16000", id="random",
             ),
-            # Shop s sells book s: a check costs its network.
-            pytest.param(
-                make_instance(400, [(1, 1)] * 400, [(s, s, 1) for s in range(400)]), 20_000,
-                "step count 321003 exceeds cap 320000", id="chain",
-            ),
-            # Shop s sells books s and s + 1, so each search walks back
-            # over every book matched before it.  The networks alone come to
-            # under 60,000 steps; the searches' offers pass the cap.
-            pytest.param(
-                make_instance(
-                    120, [(1, 1)] * 120,
-                    [(b, s, 1) for b in range(120) for s in (b - 1, b) if 0 <= s < 120],
-                ),
-                20_000, "step count 320050 exceeds cap 320000", id="path",
-            ),
+            # Shop s sells book s: every set of shops is feasible, and each
+            # of the 400 checks charges the 400 shops.
+            pytest.param(CHAIN_SHAPE, 10_000, "step count 160396 exceeds cap 160000", id="chain"),
+            # Shop s sells books s and s + 1.  The checks come to under
+            # 16,000 steps; the final flow call's searches each walk back
+            # over every book matched before them and pass the cap.
+            pytest.param(PATH_SHAPE, 2000, "step count 32239 exceeds cap 32000", id="path"),
         ],
     )
     def test_step_cap(self, monkeypatch, inst, max_states, message):
@@ -143,6 +142,14 @@ class TestUnitPriceSolver:
         with pytest.raises(ResourceLimitError, match=f"^{message}$"):
             fstar_unit_price_min_cost(inst)
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("inst", [CHAIN_SHAPE, PATH_SHAPE], ids=["chain", "path"])
+    def test_answered_within_former_cap(self, monkeypatch, inst):
+        # A flow rebuilt at every check took both shapes past 16 * 20,000
+        # steps; kept from check to check, it takes about 162,000 and
+        # 37,000.
+        monkeypatch.setattr(exact, "MAX_STATES", 20_000)
+        assert fstar_unit_price_min_cost(inst).total_cost == 0
 
     def test_unearnable_shops_take_one_pass(self):
         # No threshold of 2 fits the one book, so every shop is skipped
@@ -196,6 +203,23 @@ class TestUnitPriceSolver:
             assert evaluate_assignment(inst, got.choice) == got
 
 
+def tight_instance(rng, n, m):
+    """A draw of the tight-threshold family: unit prices, each shop selling
+    6 to 12 of the n books, drawn at random, with threshold two thirds of
+    them and a discount of 1 to 100; a book no shop drew goes to a random
+    shop.  At 60 books and 20 shops the search checks thousands of sets
+    on most draws."""
+    rules, offers, drawn = [], [], set()
+    for s in range(m):
+        k = rng.randint(6, 12)
+        books = rng.sample(range(n), k)
+        rules.append((rng.randint(1, 100), max(1, int(0.66 * k))))
+        offers += [(b, s, 1) for b in books]
+        drawn.update(books)
+    offers += [(b, rng.randrange(m), 1) for b in range(n) if b not in drawn]
+    return make_instance(n, rules, offers)
+
+
 class TestSearchMatchesMaskScan:
     """The branch and bound returns exactly the result of scanning every
     shop set, plan and tie rule included."""
@@ -216,6 +240,21 @@ class TestSearchMatchesMaskScan:
                 seed=rng.randint(0, 10**6),
             )
             assert fstar_unit_price_min_cost(inst) == bruteforce.fstar_by_masks(inst)
+
+    def test_tight_threshold_sweep(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            inst = tight_instance(rng, rng.randint(12, 24), rng.randint(2, 10))
+            assert fstar_unit_price_min_cost(inst) == bruteforce.fstar_by_masks(inst)
+
+    def test_tight_threshold_full_size(self):
+        # 60 books and 20 shops, past the mask scan's reach.
+        inst = tight_instance(random.Random(1), 60, 20)
+        start = time.perf_counter()
+        result = fstar_unit_price_min_cost(inst)
+        assert time.perf_counter() - start < 10
+        assert result.total_cost == -780
+        assert evaluate_assignment(inst, result.choice) == result
 
     @pytest.mark.parametrize("seed", range(6))
     def test_perfect_code_gadgets(self, seed):
