@@ -78,7 +78,8 @@ def run_bench(
 ) -> dict:
     """Run every algorithm on every instance file, each under ``timeout``.
 
-    Statuses: ok, timeout, cap (a solver cap refused it), input-error, error.
+    Statuses: ok, timeout, cap (a solver cap refused it), input-error, and
+    error (the solver raised, or its worker ended without a record).
     When the oracle finishes on an instance, every other ok record for it
     gets a ``gap`` field (its cost minus the oracle cost).
     """
@@ -96,8 +97,16 @@ def run_bench(
             child.close()
             record: dict = {"instance": path.name, "algo": algo}
             if parent.poll(timeout):
-                record.update(parent.recv())
+                try:
+                    sent = parent.recv()
+                except EOFError:
+                    # The worker ended without a record (killed, or a signal).
+                    sent = None
                 proc.join()
+                record.update(sent or {
+                    "status": "error",
+                    "detail": f"worker exited with code {proc.exitcode} and sent no record",
+                })
             else:
                 proc.terminate()
                 proc.join()

@@ -2,7 +2,9 @@
 
 Primal-dual blossom algorithm, run on one connected component at a time.
 A union-find pass over the edges finds the components, and isolated
-vertices cost nothing beyond that pass.  Within a component of V vertices
+vertices cost nothing beyond that pass.  A one-edge component is answered
+in that pass too: its edge is matched iff its weight is non-negative, as
+the blossom algorithm would match it.  Within a component of V vertices
 and E edges the algorithm takes O(V^2 (V + E)), and blossoms nest at most
 V deep, so the recursion in ``expand_blossom`` and ``augment_blossom`` is
 bounded by the component's size, not by the whole graph's.
@@ -86,6 +88,13 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
 
     pairs: set[tuple[int, int]] = set()
     for members in components.values():
+        if len(members) == 1:
+            # Vertex duals start at max(0, w), so the blossom would match
+            # the one edge iff it is tight, that is iff w >= 0.
+            (e,) = members
+            if e.weight >= 0:
+                pairs.add((e.u, e.v) if e.u < e.v else (e.v, e.u))
+            continue
         ids = sorted({x for e in members for x in (e.u, e.v)})
         local = {v: i for i, v in enumerate(ids)}
         edges = [(local[e.u], local[e.v], e.weight) for e in members]

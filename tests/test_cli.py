@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -24,7 +25,7 @@ from clevershopper import (
     random_instance,
     serialize_instance,
 )
-from clevershopper import cli, exact, reductions
+from clevershopper import bench, cli, exact, reductions
 from clevershopper.bench import ALGORITHM_NAMES
 from clevershopper.cli import main
 
@@ -794,6 +795,30 @@ class TestBench:
         assert report["algorithms"] == ["oracle", "subset-dp"]
         assert len(report["results"]) == 4
         assert all(r["status"] == "ok" for r in report["results"])
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched worker reaches the child only through fork",
+    )
+    def test_worker_that_dies_is_an_error(self, capsys, monkeypatch, tmp_path, five_books_path):
+        bench_dir = tmp_path / "suite"
+        bench_dir.mkdir()
+        (bench_dir / "a.cshop").write_text(five_books_path.read_text())
+        monkeypatch.setattr(bench, "_worker", lambda path, algo, conn: os._exit(7))
+        report_file = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "bench", "--dir", str(bench_dir), "--algos", "oracle",
+            "--report", str(report_file),
+        )
+        assert code == 0
+        assert "a.cshop  oracle  error" in out
+        [record] = json.loads(report_file.read_text())["results"]
+        assert record == {
+            "instance": "a.cshop",
+            "algo": "oracle",
+            "status": "error",
+            "detail": "worker exited with code 7 and sent no record",
+        }
 
     def test_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path):
         bench_dir = tmp_path / "suite"

@@ -11,6 +11,7 @@ from clevershopper import (
     WeightedGraph,
     max_weight_matching,
 )
+from clevershopper.matching import _match_component
 
 import bruteforce
 
@@ -239,3 +240,58 @@ class TestComponents:
             assert bruteforce.matching_weight(union, m) == sum(
                 bruteforce.matching_weight(g, max_weight_matching(g)) for g in parts
             )
+
+    def test_one_edge_components_match_the_blossom(self):
+        # max_weight_matching answers a one-edge component without the
+        # blossom.  The reference runs _match_component on every component,
+        # one-edge ones included, relabelled as max_weight_matching does.
+        rng = random.Random(20261020)
+        signs = set()
+        for _ in range(400):
+            n = 0
+            triples = []
+            for _ in range(rng.randint(1, 12)):
+                if rng.random() < 0.7:
+                    w = rng.randint(-3, 9)
+                    triples.append((n, n + 1, w))
+                    signs.add((w > 0) - (w < 0))
+                    n += 2
+                else:
+                    size = rng.randint(1, 5)
+                    triples += random_triples(rng, n, size, 0.6, (-3, 9))
+                    n += size
+            n += rng.randint(0, 3)
+            ids = list(range(n))
+            rng.shuffle(ids)
+            triples = [
+                (ids[u], ids[v], w) if rng.random() < 0.5 else (ids[v], ids[u], w)
+                for u, v, w in triples
+            ]
+            g = graph(n, triples)
+            assert max_weight_matching(g) == blossom_per_component(g)
+        # One-edge components of negative, zero and positive weight.
+        assert signs == {-1, 0, 1}
+
+
+def blossom_per_component(g):
+    """The union of ``_match_component`` over g's components, each
+    relabelled 0..k-1 in increasing id order, edges in the graph's order."""
+    parent = list(range(g.num_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e in g.edges:
+        parent[find(e.u)] = find(e.v)
+    components = {}
+    for e in g.edges:
+        components.setdefault(find(e.u), []).append(e)
+    pairs = set()
+    for members in components.values():
+        ids = sorted({x for e in members for x in (e.u, e.v)})
+        local = {v: i for i, v in enumerate(ids)}
+        edges = [(local[e.u], local[e.v], e.weight) for e in members]
+        pairs.update((ids[i], ids[j]) for i, j in _match_component(len(ids), edges))
+    return frozenset(pairs)
