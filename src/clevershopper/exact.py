@@ -34,8 +34,8 @@
   order, pruned by a knapsack bound on the discount still reachable.  One
   assignment of books to the current set's shops is kept from node to
   node: adding a shop runs one augmenting-path search per threshold unit,
-  rooted at that shop, and leaving it undoes their moves.  The best set's
-  plan comes from one degree-constrained subgraph (flow) computation.
+  rooted at that shop, and leaving it undoes their moves.  The plan is
+  that assignment at the best set, rebuilt by replaying its searches.
 
 Every solver returns through ``_claimed_plan``: the cheapest plan with
 the books it claims moved to their shops, priced and checked against the
@@ -516,172 +516,37 @@ class StarDegreeBound:
     shop_caps: tuple[int, ...]
 
 
-def max_fstar_subgraph(
-    instance: Instance, bound: StarDegreeBound, *, steps: _Steps | None = None
-) -> tuple[tuple[int, int], ...]:
-    """Largest set of offers with each book used at most once and each shop
-    at most its cap.  Augmenting-path maximum flow on the unit-capacity
-    network source -> books (cap 1) -> shops (availability) -> sink (cap
-    per shop); returns the chosen (book, shop) edges.  Given ``steps``, a
-    solver's running count, each search adds the offers it tried, which
-    is its work: it pushes a book only after trying an offer.
+class _Assignment:
+    """An assignment ``shop_of`` of books to shops, grown one book at a time
+    by augmenting-path searches rooted at a shop.
 
-    Each shop has ``cap`` interchangeable slots.  A book tries its shops in
-    ascending order and, within a shop, the slots in order.  Slots fill
-    from the front and each search tries them from the front, so a shop's
-    held slots and its slots tried by the current search are both
-    prefixes: a list of holders and a counter describe them exactly.
+    A search is depth-first: from a shop it tries the books the shop sells,
+    enters the shop holding a book (each shop at most once a search), and
+    on meeting a free book moves every book on its path one shop back.
+    Every move is logged as (book, old shop), so ``undo`` can go back to
+    any earlier length of the log.  Given ``steps``, a solver's running
+    count, each search adds one more than the offers it tried.
     """
-    m = instance.num_shops
-    caps = bound.shop_caps
-    if len(caps) != m:
-        raise InputError(f"need {m} shop caps, got {len(caps)}")
-    for s, cap in enumerate(caps):
-        if cap < 0:
-            raise NegativeValue(f"cap of shop s{s + 1}", cap)
-    n = instance.num_books
-    shops_of = [[s for s, _ in instance.offers_by_book[b] if caps[s]] for b in range(n)]
-    holders: list[list[int]] = [[] for _ in range(m)]  # per shop, book in each held slot
-    shop_of = [-1] * n
-    free = sum(caps)
 
-    tried = [0] * m  # slots of each shop tried by the search from root,
-    seen = [-1] * m  # counted only where seen[shop] == root
-    for root in range(n):
-        if not free:
-            break  # every slot is held, so no search can succeed
-        # Depth-first search for an augmenting path, on an explicit stack.
-        # Book b is trying options[k]; below it, path holds the books it
-        # passed through, at the index each goes on from, and slots[i] the
-        # (shop, slot) path[i] takes from the book after it.
-        b, options, k = root, shops_of[root], 0
-        path: list[int] = []
-        at: list[int] = []
-        slots: list[tuple[int, int]] = []
-        tries = 0
-        while True:
-            if k == len(options):  # every shop of b is tried: back up
-                if not path:
-                    break
-                b, k = path.pop(), at.pop()
-                options = shops_of[b]
-                slots.pop()
-                continue
-            tries += 1
-            s = options[k]
-            slot = tried[s] if seen[s] == root else 0
-            if slot == caps[s]:
-                k += 1
-                continue
-            seen[s], tried[s] = root, slot + 1
-            if slot == len(holders[s]):  # a free slot: flip the path
-                free -= 1
-                holders[s].append(b)
-                shop_of[b] = s
-                for book, (t, i) in zip(path, slots):
-                    holders[t][i] = book
-                    shop_of[book] = t
-                break
-            path.append(b)
-            at.append(k)
-            slots.append((s, slot))
-            b = holders[s][slot]
-            options, k = shops_of[b], 0
-        if steps is not None:
-            steps.add(tries)
+    __slots__ = ("sells", "steps", "shop_of", "log", "stamp", "searches")
 
-    return tuple((b, s) for b, s in enumerate(shop_of) if s != -1)
+    def __init__(self, instance: Instance, steps: _Steps | None) -> None:
+        m = instance.num_shops
+        self.sells = instance.books_by_shop
+        self.steps = steps
+        self.shop_of = [m] * instance.num_books  # m while a book is free
+        self.log: list[tuple[int, int]] = []  # (book, old shop) of every move
+        self.stamp = [0] * (m + 1)  # the last search that entered each shop; 0 for m, "free"
+        self.searches = 0
 
-
-def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
-    """Minimum cost for unit-price instances by branch and bound over the
-    sets of shops that earn their discounts.
-
-    A set S of shops can earn its discounts iff its shops can each be
-    given exactly their threshold of books, with books used at most once:
-    an assignment that fills every slot.  The cost is then (number of
-    books) - (discounts of S).  Ties between optimal sets go to the
-    lexicographically smallest shop tuple.
-
-    The search is depth-first: a node is a set S, and its children add one
-    shop j above S's largest, in increasing j.  Pre-order then visits the
-    sorted shop tuples in lexicographic order, so only a strictly cheaper
-    set replaces the best one found, and the first cheapest set wins the
-    tie.  It runs as one loop over ``path``, S's shops in order, so no
-    depth of set recurses.  Three exact rules prune:
-
-    * threshold sum: j is skipped if the thresholds would sum past n;
-    * bound: a node's loop stops at the first j left where even the most
-      discount shops j.. could add, as a fractional knapsack on the books
-      S leaves free, does not beat the best cost.  The knapsack only
-      shrinks as j grows, so no later j would pass;
-    * feasibility: the search goes below S + j only if S + j fills every
-      slot.  Feasible sets are closed under subsets, so a failed check
-      prunes every superset.
-
-    The check does not rebuild a flow.  One assignment ``shop_of`` of the
-    books to S's shops lives through the whole search.  S fills every
-    slot, so an augmenting path for S + j can end only at j: adding j
-    runs t_j searches rooted at j.  Each is depth-first: from a shop it
-    tries the books the shop sells, enters the shop holding a book (each
-    shop at most once a search), and on meeting a free book moves every
-    book on its path one shop back.  The first search that fails makes
-    S + j infeasible.  Every move is logged as (book, old shop), and
-    leaving S + j undoes the log back to where adding j began.  The plan comes from one
-    ``max_fstar_subgraph`` call on the best set's thresholds, so it does
-    not depend on the order of the moves.
-
-    Refuses more than 16 * ``MAX_STATES`` steps: m for each set checked;
-    one more than the offers each search tries; and the final call's
-    network (its books, shops and offers) and the offers its searches
-    try.  That pays for the rest.  A check follows one bound, which scans
-    up to m shops, and a feasible check opens a level, which skips at
-    most m shops and ends at one more bound; the root level's are paid by
-    the final network.  Undoing a move follows the try that made it.
-    """
-    m = instance.num_shops
-    for o in instance.offers:
-        if o.price != 1:
-            raise InputError(
-                f"offer for book b{o.book + 1} at shop s{o.shop + 1} has price {o.price}, "
-                "expected 1"
-            )
-    n = instance.num_books
-    rules = instance.rules
-    sells = instance.books_by_shop
-    by_ratio = _by_ratio(rules, (s for s in range(m) if rules[s].discount))
-    steps = _Steps()
-    caps = [0] * m  # thresholds of the shops in the current set, 0 elsewhere
-    best_cost, best_caps = n, tuple(caps)  # the empty set, first in the order, costs n
-
-    shop_of = [m] * n  # the shop holding each book; m while it is free
-    log: list[tuple[int, int]] = []  # (book, old shop) of every move
-    stamp = [0] * (m + 1)  # the last search that entered each shop; 0 for m, "free"
-    searches = 0
-
-    def reach(start: int, room: int) -> int:
-        """An upper bound on the discount shops start.. can add with
-        ``room`` books left: the fractional knapsack, where a shop may earn
-        a share of its discount on that share of its threshold, rounded
-        down."""
-        total = 0
-        for s in by_ratio:
-            if s < start:
-                continue
-            d, t = rules[s].discount, rules[s].threshold
-            if t > room:
-                return total + d * room // t
-            total += d
-            room -= t
-        return total
-
-    def fill(j: int, t: int) -> bool:
+    def fill(self, j: int, t: int) -> bool:
         """Gives shop j t books, or returns False at the first search that
         finds no augmenting path."""
-        nonlocal searches
+        sells, steps, shop_of, log, stamp = self.sells, self.steps, self.shop_of, self.log, self.stamp
+        m = len(stamp) - 1
         for _ in range(t):
-            searches += 1
-            search = stamp[j] = searches
+            self.searches += 1
+            search = stamp[j] = self.searches
             # The search is at shop s, trying its books from index i.  Below
             # it, chain holds the shops it passed through, at the index each
             # goes on from, and via[k] the book by which it left chain[k].
@@ -698,7 +563,8 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
                 else:  # every book leads to a shop entered already
                     tries += end - start
                     if not chain:
-                        steps.add(tries)
+                        if steps is not None:
+                            steps.add(tries)
                         return False
                     s, i = chain.pop(), at.pop()
                     books = sells[s]
@@ -719,13 +585,120 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
                 at.append(i + 1)
                 via.append(b)
                 s, books, i = held, sells[held], 0
-            steps.add(tries)
+            if steps is not None:
+                steps.add(tries)
         return True
 
-    def undo(mark: int) -> None:
+    def undo(self, mark: int) -> None:
+        """Undoes the moves logged after the first ``mark``."""
+        log, shop_of = self.log, self.shop_of
         while len(log) > mark:
             book, shop = log.pop()
             shop_of[book] = shop
+
+
+def max_fstar_subgraph(
+    instance: Instance, bound: StarDegreeBound, *, steps: _Steps | None = None
+) -> tuple[tuple[int, int], ...]:
+    """Largest set of offers with each book used at most once and each shop
+    at most its cap; returns the chosen (book, shop) edges.  Given
+    ``steps``, a solver's running count, each search adds one more than
+    the offers it tried.
+
+    An ``_Assignment`` fills the shops in ascending order, each up to its
+    cap or until its first search fails.  That is a maximum: the units of
+    a shop's cap are interchangeable, and a shop with no augmenting path
+    still has none after later augmentations (Kuhn).
+    """
+    m = instance.num_shops
+    caps = bound.shop_caps
+    if len(caps) != m:
+        raise InputError(f"need {m} shop caps, got {len(caps)}")
+    for s, cap in enumerate(caps):
+        if cap < 0:
+            raise NegativeValue(f"cap of shop s{s + 1}", cap)
+    assignment = _Assignment(instance, steps)
+    for s, cap in enumerate(caps):
+        assignment.fill(s, cap)
+    return tuple((b, s) for b, s in enumerate(assignment.shop_of) if s != m)
+
+
+def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
+    """Minimum cost for unit-price instances by branch and bound over the
+    sets of shops that earn their discounts.
+
+    A set S of shops can earn its discounts iff its shops can each be
+    given exactly their threshold of books, with books used at most once:
+    an assignment that fills every shop.  The cost is then (number of
+    books) - (discounts of S).  Ties between optimal sets go to the
+    lexicographically smallest shop tuple.
+
+    The search is depth-first: a node is a set S, and its children add one
+    shop j above S's largest, in increasing j.  Pre-order then visits the
+    sorted shop tuples in lexicographic order, so only a strictly cheaper
+    set replaces the best one found, and the first cheapest set wins the
+    tie.  It runs as one loop over ``path``, S's shops in order, so no
+    depth of set recurses.  Three exact rules prune:
+
+    * threshold sum: j is skipped if the thresholds would sum past n;
+    * bound: a node's loop stops at the first j left where even the most
+      discount shops j.. could add, as a fractional knapsack on the books
+      S leaves free, does not beat the best cost.  The knapsack only
+      shrinks as j grows, so no later j would pass;
+    * feasibility: the search goes below S + j only if S + j fills every
+      shop.  Feasible sets are closed under subsets, so a failed check
+      prunes every superset.
+
+    The check does not rebuild anything.  One ``_Assignment`` of the books
+    to S's shops lives through the whole search.  S fills every shop, so
+    an augmenting path for S + j can end only at j: adding j runs t_j
+    searches rooted at j, and the first that fails makes S + j infeasible.
+    Leaving S + j undoes the log back to where adding j began, so the
+    assignment at S is the one that filling S's shops in ascending order
+    gives.  The plan comes from one ``max_fstar_subgraph`` call on the
+    best set's thresholds, which replays exactly those searches: it is the
+    branch and bound's own assignment at the best set.
+
+    Refuses more than 16 * ``MAX_STATES`` steps: m for each set checked;
+    one more than the offers each search tries, the final call's included;
+    and n + m + E, the books, shops and offers, once before the final
+    call.  That pays for the rest.  A check follows one bound, which scans
+    up to m shops, and a feasible check opens a level, which skips at most
+    m shops and ends at one more bound; n + m + E pays for the root
+    level's, for the final call's arrays and for ``_claimed_plan``.
+    Undoing a move follows the try that made it.
+    """
+    m = instance.num_shops
+    for o in instance.offers:
+        if o.price != 1:
+            raise InputError(
+                f"offer for book b{o.book + 1} at shop s{o.shop + 1} has price {o.price}, "
+                "expected 1"
+            )
+    n = instance.num_books
+    rules = instance.rules
+    by_ratio = _by_ratio(rules, (s for s in range(m) if rules[s].discount))
+    steps = _Steps()
+    caps = [0] * m  # thresholds of the shops in the current set, 0 elsewhere
+    best_cost, best_caps = n, tuple(caps)  # the empty set, first in the order, costs n
+    assignment = _Assignment(instance, steps)
+    fill, undo, log = assignment.fill, assignment.undo, assignment.log
+
+    def reach(start: int, room: int) -> int:
+        """An upper bound on the discount shops start.. can add with
+        ``room`` books left: the fractional knapsack, where a shop may earn
+        a share of its discount on that share of its threshold, rounded
+        down."""
+        total = 0
+        for s in by_ratio:
+            if s < start:
+                continue
+            d, t = rules[s].discount, rules[s].threshold
+            if t > room:
+                return total + d * room // t
+            total += d
+            room -= t
+        return total
 
     path: list[tuple[int, int]] = []  # the current set's shops, ascending, each with its log mark
     disc = tsum = 0  # its discounts and thresholds, summed

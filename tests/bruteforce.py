@@ -4,7 +4,8 @@ Everything here is deliberately written in the dumbest possible style,
 sharing no code with the package, so that agreement between the two is
 meaningful evidence of correctness.  Two are kept scans the package
 replaced by searches: ``earning_sets_by_masks``, and ``fstar_by_masks``,
-which checks only fstar's search and reuses the package's flow.
+which checks only fstar's search and reuses the package's
+``max_fstar_subgraph``.
 """
 
 from __future__ import annotations
@@ -160,8 +161,10 @@ def fstar_by_masks(instance: Instance) -> SolveResult:
     """``fstar_unit_price_min_cost`` by scanning all 2^m shop sets.
 
     The package's solver before its branch and bound, kept as the reference
-    for the search: it shares the flow, ``max_fstar_subgraph``, and builds
-    the plan the same way, so the two agree on the whole result, ties
+    for the search: it checks each set with ``max_fstar_subgraph``, which
+    fills the set's shops in ascending order by the branch and bound's own
+    augmenting searches, and builds the plan from that call on the best
+    set, as the solver does, so the two agree on the whole result, ties
     included.  Among the cheapest feasible sets it keeps the one with the
     lexicographically smallest shop tuple.
     """

@@ -241,8 +241,8 @@ class TestSolve:
         assert f"cost {3 * n - 5}" in out
 
     def test_fstar_long_augmenting_paths(self, capsys, tmp_path):
-        # The first shop's n-1 slots fill through augmenting paths as long
-        # as the number of books already placed.
+        # The first shop takes n-1 books, one search each, and each search
+        # scans past the books the shop already holds.
         n = 1100
         path = tmp_path / "chain.cshop"
         path.write_text(serialize_instance(make_instance(
@@ -251,6 +251,15 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--algo", "fstar")
         assert code == 0
         assert f"cost {n - 1}" in out
+        # Shop s < n-1 sells books s and s + 1, and holds book s once the
+        # shops before it are added; the last shop sells only book 0, so
+        # its search walks every shop and moves every book one shop back.
+        path.write_text(serialize_instance(make_instance(
+            n, [(1, 1)] * n, [(b, s, 1) for s in range(n - 1) for b in (s, s + 1)] + [(0, n - 1, 1)]
+        )))
+        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--algo", "fstar")
+        assert code == 0
+        assert "cost 0" in out
 
     def test_huge_book_count_is_bad_input(self, capsys, tmp_path):
         path = tmp_path / "huge.cshop"
