@@ -61,48 +61,63 @@ from .model import (
 )
 
 # Caps, read when a solver is called; past them a solver raises a
-# ``ResourceLimitError`` instead of running.  Both DPs keep at most
-# MAX_STATES entries, and they and fstar take at most 16 * MAX_STATES
-# steps: 16 is four offers of a book, each charged one step per shop of
-# a four-shop spend vector.
+# ``ResourceLimitError``.  Both DPs keep at most MAX_STATES entries, and a
+# shop at most MAX_STATES earning sets.  The DPs and fstar take at most
+# 16 * MAX_STATES steps, each charged as the work it counts is done: 16
+# is above the 14 a kept vector of a four-shop price-dp is charged.
 MAX_STATES = 2_000_000  # DP entries of price_vector_min_cost and subset_dp_min_cost
 
 
 # --- the shared pricing core -------------------------------------------------
 
 
-def _earning_sets(instance: Instance, shop: int) -> list[tuple[int, int]]:
+def _earning_sets(
+    instance: Instance, shop: int, steps: _Steps
+) -> list[tuple[tuple[int, ...], int]]:
     """The sets of books that earn the shop's discount at a profit.
 
-    Returns (global book mask, saving) for each threshold-minimal set: its
-    spend at the shop reaches the threshold, and drops below it without any
-    one of its books.  The saving is the discount less the set's premium
-    over buying each of its books at its cheapest shop; only positive
-    savings are kept.  A threshold-0 shop has one such set, the empty one.
-    They come in increasing local mask order, books numbered cheapest first:
-    a depth-first search adds books dearest first, keeps a set, grown no
-    further, once it reaches the threshold, and drops it once its premium
-    reaches the discount or the cheaper books cannot lift it there.
+    Returns (books, saving) for each threshold-minimal set, ``books`` its
+    book indices in ascending order: its spend at the shop reaches the
+    threshold, and drops below it without any one of its books.  The saving
+    is the discount less the set's premium over buying each of its books at
+    its cheapest shop; only positive savings are kept.  A threshold-0 shop
+    has one such set, the empty one.  They come in increasing local mask
+    order, books numbered cheapest first: a depth-first search adds books
+    dearest first, keeps a set, grown no further, once it reaches the
+    threshold, and drops it once its premium reaches the discount or the
+    cheaper books cannot lift it there.
+
+    Each book the search tries is one step on ``steps``, and so is each
+    book it copies into a larger set, so the search's time and the size of
+    the sets it keeps grow with the steps.  Refuses more than
+    ``MAX_STATES`` kept sets.
     """
     rule = instance.rules[shop]
     if rule.threshold == 0:
-        return [(0, rule.discount)] if rule.discount else []
+        return [((), rule.discount)] if rule.discount else []
     offers = sorted((instance.price[(b, shop)], b) for b in instance.books_by_shop[shop])
     upto = list(accumulate((price for price, _ in offers), initial=0))  # spend of books 0..i-1
     sets = []
-    stack = [(0, 0, 0, len(offers))]  # (spend, premium, global mask, i): books >= i
+    stack = [(0, 0, (), len(offers))]  # (spend, premium, books, i): books >= i
     while stack:
-        spend, premium, gmask, i = stack.pop()
+        spend, premium, books, i = stack.pop()
         if spend >= rule.threshold:
-            sets.append((gmask, rule.discount - premium))
+            sets.append((tuple(sorted(books)), rule.discount - premium))
+            if len(sets) > MAX_STATES:
+                raise ResourceLimitError(
+                    f"earning set count {len(sets)} of shop s{shop + 1} exceeds cap {MAX_STATES}"
+                )
             continue
+        j, height = i, len(stack)
         for j in range(i - 1, -1, -1):  # next book j, popped cheapest first: mask order
             if spend + upto[j + 1] < rule.threshold:
                 break
             price, book = offers[j]
             more = premium + price - instance.cheapest[book][1]
             if more < rule.discount:
-                stack.append((spend + price, more, gmask | 1 << book, j))
+                stack.append((spend + price, more, books + (book,), j))
+        # Books i-1 down to j tried, and ``books`` copied into each set pushed.
+        steps.add(i - j + (len(stack) - height) * len(books))
     return sets
 
 
@@ -199,10 +214,11 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
     first hold them, so its size does not grow with n.  Returns one
     cheapest plan; which one, among equally cheap plans, is not fixed.
 
-    Refuses more than ``MAX_STATES`` states and back-pointers, or more
-    than 16 * ``MAX_STATES`` steps: 2^k before the search for the earning sets
-    of a shop selling k books (k at most the cap's bit length), then its copy
-    of ``best`` and its (state, earning set) pairs, before its pass.
+    Refuses more than ``MAX_STATES`` states and back-pointers, more than
+    ``MAX_STATES`` earning sets of one shop, or more than 16 * ``MAX_STATES``
+    steps: each book the search for a shop's earning sets tries or copies,
+    then the shop's copy of ``best`` and its (state, earning set) pairs as
+    its pass begins.
     """
     best = {0: 0}
     came_from: list[dict[int, int]] = []  # per shop: state it improved -> state before
@@ -210,13 +226,10 @@ def subset_dp_min_cost(instance: Instance) -> SolveResult:
     steps = _Steps()
     bit: dict[int, int] = {}  # book -> its state bit, numbered as earning sets first hold them
     for s in range(instance.num_shops):
-        steps.add(1 << min(len(instance.books_by_shop[s]), (16 * MAX_STATES).bit_length()))
         sets = []
-        for gmask, gain in _earning_sets(instance, s):
+        for books, gain in _earning_sets(instance, s, steps):
             mask = 0
-            while gmask:
-                b = gmask.bit_length() - 1
-                gmask ^= 1 << b
+            for b in reversed(books):
                 mask |= 1 << bit.setdefault(b, len(bit))
             sets.append((mask, gain))
         steps.add(len(best) * (1 + len(sets)))
@@ -315,9 +328,11 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     lexicographically smallest kept predecessor of v.
 
     Refuses more than ``MAX_STATES`` kept vectors, or more than 16 *
-    ``MAX_STATES`` steps: m per (vector, offer) pair, one per shop, counted
-    before each offer's pass.  At m <= 4 only the vector cap refuses: at most
-    four offers of a book pass over each kept vector, at four steps each.
+    ``MAX_STATES`` steps, charged as each book's pass begins: m per kept
+    vector for its base, and per (vector, offer) pair one step plus one per
+    shop after the offer's in its group, which the canonical step may pass.
+    At m <= 4 only the vector cap refuses: a kept vector is charged at most
+    4 + (4 + 3 + 2 + 1) = 14 steps.
     """
     m = instance.num_shops
     n = instance.num_books
@@ -353,7 +368,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     # layers[i] holds the kept canonical spend vectors after books 0..i-1.
     layers: list[set[int]] = [{0}]
     total = 1
-    steps = _Steps()  # m per (vector, offer) pair
+    steps = _Steps()
     for b in range(n):
         offers = instance.offers_by_book[b]
         for shop, price in offers:
@@ -369,6 +384,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         # the discount of its shop if that price lifts the spend there to
         # ``reach``: base counts the discounts already in reach.
         fields = list(zip(shift, reach, discount))
+        steps.add(len(layers[-1]) * (m + sum(1 + len(later[shop]) for shop, _ in offers)))
         bases = []
         for state in layers[-1]:
             base = 0
@@ -377,7 +393,6 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
                 base += spend - off if spend >= need else spend
             bases.append(base)
         for shop, price in offers:
-            steps.add(len(bases) * m)
             cut = slack - price
             after = later[shop]
             at = shift[shop]
@@ -468,8 +483,8 @@ def build_discount_graph(instance: Instance) -> WeightedGraph:
         books = instance.books_by_shop[s]
         if len(books) > 2:
             raise InputError(f"shop s{s + 1} sells {len(books)} books, solver handles at most 2")
-        for g, saving in _earning_sets(instance, s):
-            ends = tuple(b for b in books if g >> b & 1)
+        # A count per shop: at most two books cost a few steps, and matching2 has no step cap.
+        for ends, saving in _earning_sets(instance, s, _Steps()):
             if len(ends) == 1:
                 chosen[(ends[0], n + s)] = (saving, s)
             elif len(ends) == 2:
@@ -524,13 +539,16 @@ class _Assignment:
     enters the shop holding a book (each shop at most once a search), and
     on meeting a free book moves every book on its path one shop back.
     Every move is logged as (book, old shop), so ``undo`` can go back to
-    any earlier length of the log.  Given ``steps``, a solver's running
-    count, each search adds one more than the offers it tried.
+    any earlier length of the log.  Within one ``fill(j, t)`` shop j only
+    gains books, so its searches start past the prefix of its books that
+    j holds, and each book is passed once.  Each search adds one more than
+    the offers it tried, those passed included, to ``steps``, a solver's
+    running count.
     """
 
     __slots__ = ("sells", "steps", "shop_of", "log", "stamp", "searches")
 
-    def __init__(self, instance: Instance, steps: _Steps | None) -> None:
+    def __init__(self, instance: Instance, steps: _Steps) -> None:
         m = instance.num_shops
         self.sells = instance.books_by_shop
         self.steps = steps
@@ -544,17 +562,22 @@ class _Assignment:
         finds no augmenting path."""
         sells, steps, shop_of, log, stamp = self.sells, self.steps, self.shop_of, self.log, self.stamp
         m = len(stamp) - 1
+        own = sells[j]
+        first = 0  # j holds own[:first]; it only gains books here, so this only grows
         for _ in range(t):
             self.searches += 1
             search = stamp[j] = self.searches
+            start = first
+            while first < len(own) and shop_of[own[first]] == j:
+                first += 1
+            tries = 1 + first - start  # the books first passed count as tried
             # The search is at shop s, trying its books from index i.  Below
             # it, chain holds the shops it passed through, at the index each
             # goes on from, and via[k] the book by which it left chain[k].
-            s, books, i = j, sells[j], 0
+            s, books, i = j, own, first
             chain: list[int] = []
             at: list[int] = []
             via: list[int] = []
-            tries = 1
             while True:
                 start, end = i, len(books)
                 for i in range(i, end):
@@ -563,8 +586,7 @@ class _Assignment:
                 else:  # every book leads to a shop entered already
                     tries += end - start
                     if not chain:
-                        if steps is not None:
-                            steps.add(tries)
+                        steps.add(tries)
                         return False
                     s, i = chain.pop(), at.pop()
                     books = sells[s]
@@ -585,8 +607,7 @@ class _Assignment:
                 at.append(i + 1)
                 via.append(b)
                 s, books, i = held, sells[held], 0
-            if steps is not None:
-                steps.add(tries)
+            steps.add(tries)
         return True
 
     def undo(self, mark: int) -> None:
@@ -601,9 +622,9 @@ def max_fstar_subgraph(
     instance: Instance, bound: StarDegreeBound, *, steps: _Steps | None = None
 ) -> tuple[tuple[int, int], ...]:
     """Largest set of offers with each book used at most once and each shop
-    at most its cap; returns the chosen (book, shop) edges.  Given
-    ``steps``, a solver's running count, each search adds one more than
-    the offers it tried.
+    at most its cap; returns the chosen (book, shop) edges.  Each search
+    adds one more than the offers it tried to ``steps``, a solver's running
+    count, or to a count of its own; either refuses past 16 * ``MAX_STATES``.
 
     An ``_Assignment`` fills the shops in ascending order, each up to its
     cap or until its first search fails.  That is a maximum: the units of
@@ -617,7 +638,7 @@ def max_fstar_subgraph(
     for s, cap in enumerate(caps):
         if cap < 0:
             raise NegativeValue(f"cap of shop s{s + 1}", cap)
-    assignment = _Assignment(instance, steps)
+    assignment = _Assignment(instance, _Steps() if steps is None else steps)
     for s, cap in enumerate(caps):
         assignment.fill(s, cap)
     return tuple((b, s) for b, s in enumerate(assignment.shop_of) if s != m)
@@ -660,9 +681,9 @@ def fstar_unit_price_min_cost(instance: Instance) -> SolveResult:
     branch and bound's own assignment at the best set.
 
     Refuses more than 16 * ``MAX_STATES`` steps: m for each set checked;
-    one more than the offers each search tries, the final call's included;
-    and n + m + E, the books, shops and offers, once before the final
-    call.  That pays for the rest.  A check follows one bound, which scans
+    one more than the offers each search tries (see ``_Assignment``), the
+    final call's included; and n + m + E, the books, shops and offers, as
+    the final call begins.  That pays for the rest.  A check follows one bound, which scans
     up to m shops, and a feasible check opens a level, which skips at most
     m shops and ends at one more bound; n + m + E pays for the root
     level's, for the final call's arrays and for ``_claimed_plan``.

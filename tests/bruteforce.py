@@ -133,8 +133,8 @@ def earning_sets_by_masks(instance: Instance, shop: int) -> list[tuple[int, int]
     """``exact._earning_sets`` by scanning all 2^k sets of the shop's k books.
 
     The package's table fill before its search, kept as the reference for
-    the search: the same (global book mask, saving) pairs in the same
-    order, increasing local mask with the cheapest book on the low bit.
+    the search: the same sets in the same order, increasing local mask with
+    the cheapest book on the low bit, each as (global book mask, saving).
     """
     rule = instance.rules[shop]
     # Lightest first, so the low bit of a local mask is its cheapest book.

@@ -121,11 +121,13 @@ class TestUnitPriceSolver:
     @pytest.mark.parametrize(
         "inst, max_states, message",
         [
-            # 109 searches at 30 checks try about 140 offers each, up to
-            # 508: they pass the cap before the final call.
+            # About 110 searches at 30 checks try about 140 offers each, up
+            # to 507: they pass the cap before the final call.  A search no
+            # longer tries the books its root shop holds already, so the
+            # count is lower than the 16348 of a scan from the first book.
             pytest.param(
                 random_instance(200, 30, unit_prices=True, seed=1), 1000,
-                "step count 16348 exceeds cap 16000", id="random",
+                "step count 16231 exceeds cap 16000", id="random",
             ),
             # Shop s sells book s: every set of shops is feasible, and each
             # of the 400 checks charges the 400 shops.
@@ -154,6 +156,19 @@ class TestUnitPriceSolver:
         # came from a separate book-rooted flow.
         monkeypatch.setattr(exact, "MAX_STATES", max_states)
         assert fstar_unit_price_min_cost(inst).total_cost == 0
+
+    def test_one_shop_tries_each_book_about_once(self):
+        # A search starts past the books its root shop holds, so filling a
+        # threshold of 5,999 tries 17,996 offers: two per search and the
+        # book the one before took.  Scanning from the first book, the
+        # fill and the final call tried about 18M each and were refused.
+        inst = make_instance(6000, [(1, 5999)], [(b, 0, 1) for b in range(6000)])
+        steps = exact._Steps()
+        assert len(max_fstar_subgraph(inst, StarDegreeBound((5999,)), steps=steps)) == 5999
+        assert steps.count == 17_996
+        start = time.perf_counter()
+        assert fstar_unit_price_min_cost(inst).total_cost == 5999
+        assert time.perf_counter() - start < 5
 
     def test_unearnable_shops_take_one_pass(self):
         # No threshold of 2 fits the one book, so every shop is skipped

@@ -170,22 +170,32 @@ class TestOptimization:
 
     @pytest.mark.parametrize("cap", [5, 10, 100])
     def test_vector_cap_refuses_first_at_four_shops(self, monkeypatch, cap):
-        # At most four offers of a book pass over each kept vector, at four
-        # steps each, so at m <= 4 the step cap (16 * MAX_STATES) is never
-        # the one that refuses.
+        # A kept vector is charged m for its base, and per offer of a book
+        # one step plus one per shop after the offer's in its group: at
+        # m <= 4 at most 4 + (4 + 3 + 2 + 1) = 14 steps, so the step cap
+        # (16 * MAX_STATES) is never the one that refuses.  Every bin of a
+        # bin-packing gadget is interchangeable with the others, so at four
+        # bins a vector is charged all 14.
         rng = random.Random(cap)
         monkeypatch.setattr(exact, "MAX_STATES", cap)
         refused = 0
-        for _ in range(300):
-            if rng.random() < 0.5:
+        for _ in range(400):
+            draw = rng.random()
+            if draw < 0.375:
                 inst = random_instance(
                     rng.randint(1, 9), rng.randint(1, 4), max_price=rng.randint(1, 12),
                     discount_model=DiscountModel(rng.randint(0, 20), 0, rng.randint(4, 30)),
                     seed=rng.randrange(10**6),
                 )
-            else:
+            elif draw < 0.75:
                 weights = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 12)))
                 inst = from_partition(weights).instance
+            else:
+                bins = rng.randint(2, 4)
+                weights = [rng.randint(1, 12) for _ in range(rng.randint(1, 11))]
+                capacity = -(-sum(weights) // bins)
+                weights.append(bins * capacity - sum(weights))
+                inst = from_bin_packing(tuple(weights), bins, capacity).instance
             try:
                 price_vector_min_cost(inst, rng.choice([None, rng.randint(-5, 60)]))
             except ResourceLimitError as exc:

@@ -49,24 +49,43 @@ class TestSubsetDp:
         inst = make_instance(3, [(4, 10)], [(b, 0, 4) for b in range(3)])
         assert subset_dp_min_cost(inst).total_cost == 8
 
-    def test_book_cap(self):
-        # The search for a shop's earning sets is charged 2^k steps before
-        # it runs: 21 books are answered, and 25 pass the step cap of
-        # 16 * MAX_STATES on their own, before C(25, 12) sets are met.
+    def test_book_cap(self, monkeypatch):
+        # A shop's kept earning sets count against MAX_STATES as the search
+        # finds them: 21 books are answered, and 25 at threshold 6 have
+        # C(25, 6) sets, so the set cap refuses the first past it.  At
+        # threshold 12 each set copies 12 books, and the step cap refuses
+        # first.
         inst = make_instance(21, [(0, 1)], [(b, 0, 1) for b in range(21)])
         assert subset_dp_min_cost(inst).total_cost == 21
-        inst = make_instance(25, [(1, 12)], [(b, 0, 1) for b in range(25)])
+        monkeypatch.setattr(exact, "MAX_STATES", 1_000)
+        inst = make_instance(25, [(1, 6)], [(b, 0, 1) for b in range(25)])
         with pytest.raises(
-            ResourceLimitError, match=r"^step count 33554432 exceeds cap 32000000$"
+            ResourceLimitError, match=r"^earning set count 1001 of shop s1 exceeds cap 1000$"
         ):
             subset_dp_min_cost(inst)
+        inst = make_instance(25, [(1, 12)], [(b, 0, 1) for b in range(25)])
+        with pytest.raises(ResourceLimitError, match=r"^step count 16009 exceeds cap 16000$"):
+            subset_dp_min_cost(inst)
 
-    def test_huge_shop_refused_with_short_count(self):
-        # 2^20000 has more digits than Python will print by default; the
-        # charge is clamped, so the refusal reads like the 25-book one.
+    def test_many_books_few_earning_sets(self):
+        # 25 books at threshold 2 give C(25, 2) = 300 earning sets.  The
+        # search is charged the 325 books it tries and the 300 it copies
+        # into two-book sets, where a charge of 2^25 for the shop's books
+        # refused it.
+        inst = make_instance(25, [(1, 2)], [(b, 0, 1) for b in range(25)])
+        steps = exact._Steps()
+        assert len(_earning_sets(inst, 0, steps)) == 300
+        assert steps.count == 625
+        assert subset_dp_min_cost(inst).total_cost == 24
+
+    def test_huge_shop_refused_with_short_count(self, monkeypatch):
+        # The search tries all 20,000 books once at its root, within
+        # 16 * 2,000 steps, then finds pairs until the set cap refuses:
+        # no count grows with 2^20000.
         inst = make_instance(20000, [(1, 2)], [(b, 0, 1) for b in range(20000)])
+        monkeypatch.setattr(exact, "MAX_STATES", 2_000)
         with pytest.raises(
-            ResourceLimitError, match=r"^step count 33554432 exceeds cap 32000000$"
+            ResourceLimitError, match=r"^earning set count 2001 of shop s1 exceeds cap 2000$"
         ):
             subset_dp_min_cost(inst)
 
@@ -98,7 +117,9 @@ class TestSubsetDp:
         inst = random_instance(
             12, 6, unit_prices=True, discount_model=DiscountModel(5, 1, 2), seed=1
         )
-        most_sets = max(len(exact._earning_sets(inst, s)) for s in range(inst.num_shops))
+        most_sets = max(
+            len(exact._earning_sets(inst, s, exact._Steps())) for s in range(inst.num_shops)
+        )
         monkeypatch.setattr(exact, "MAX_STATES", cap)
         with pytest.raises(ResourceLimitError, match=rf"exceeds cap {cap}$") as refused:
             subset_dp_min_cost(inst)
@@ -152,13 +173,17 @@ class TestSubsetDp:
         # b1 alone reaches the threshold; b1 with b2 does too, but still
         # reaches it without b2, so only {b1} is kept.
         inst = make_instance(2, [(3, 5), (2, 0)], [(0, 0, 5), (1, 0, 1), (1, 1, 1)])
-        assert _earning_sets(inst, 0) == [(0b01, 3)]
-        assert _earning_sets(inst, 1) == [(0, 2)]
+        assert _earning_sets(inst, 0, exact._Steps()) == [((0,), 3)]
+        assert _earning_sets(inst, 1, exact._Steps()) == [((), 2)]
 
     def test_earning_sets_match_mask_scan(self):
         # The search meets the sets of the 2^k scan it replaced, in its
         # order.  Zero and tied prices, threshold-0 and discount-0 shops and
         # thresholds past a shop's whole offer list all occur.
+        def as_masks(inst, s):
+            sets = _earning_sets(inst, s, exact._Steps())
+            return [(sum(1 << b for b in books), saving) for books, saving in sets]
+
         rng = random.Random(24)
         several = 0  # shops with more than one set, so an order to check
         for _ in range(1_500):
@@ -173,7 +198,7 @@ class TestSubsetDp:
                     offers.append((b, s, 0 if rng.random() < 0.2 else rng.randint(1, top)))
             inst = make_instance(n, rules, offers)
             for s in range(m):
-                sets = _earning_sets(inst, s)
+                sets = as_masks(inst, s)
                 assert sets == bruteforce.earning_sets_by_masks(inst, s)
                 several += len(sets) > 1
         gadgets = [
@@ -184,7 +209,7 @@ class TestSubsetDp:
                     from_partition((0,) * 10), from_partition((1,) * 14)]
         for gen in gadgets:
             for s in range(gen.instance.num_shops):
-                sets = _earning_sets(gen.instance, s)
+                sets = as_masks(gen.instance, s)
                 assert sets == bruteforce.earning_sets_by_masks(gen.instance, s)
                 several += len(sets) > 1
         assert several > 1_000
