@@ -27,8 +27,10 @@
   witness for yes, or None for no.
 * ``matching2_min_cost``: every shop sells at most two books.  Reduces to
   maximum-weight matching in a graph whose edges are the shops' earning
-  sets: a one-book set joins the book to the shop, a two-book set joins
-  the two books.
+  sets, read off each shop's two offers: a one-book set joins the book to
+  the shop, a two-book set joins the two books.  Tree components of the
+  graph are matched in linear time, and only cyclic ones by the blossom
+  algorithm.
 * ``fstar_unit_price_min_cost``: unit prices, few shops.  Branch and
   bound over the sets of shops that earn their discounts, in lexicographic
   order, pruned by a knapsack bound on the discount still reachable.  One
@@ -62,9 +64,10 @@ from .model import (
 
 # Caps, read when a solver is called; past them a solver raises a
 # ``ResourceLimitError``.  Both DPs keep at most MAX_STATES entries, and a
-# shop at most MAX_STATES earning sets.  The DPs and fstar take at most
-# 16 * MAX_STATES steps, each charged as the work it counts is done: 16
-# is above the 14 a kept vector of a four-shop price-dp is charged.
+# shop at most MAX_STATES earning sets.  The DPs, fstar and matching2's
+# blossom take at most 16 * MAX_STATES steps, each charged as the work it
+# counts is done: 16 is above the 14 a kept vector of a four-shop
+# price-dp is charged.
 MAX_STATES = 2_000_000  # DP entries of price_vector_min_cost and subset_dp_min_cost
 
 
@@ -471,26 +474,41 @@ def build_discount_graph(instance: Instance) -> WeightedGraph:
     """Graph whose maximum-weight matching picks the discounts to earn.
 
     Vertices are the n books followed by the m shops.  Each edge is one of
-    a shop's earning sets (see ``_earning_sets``), weighted by its saving
-    and tagged with the shop: a one-book set joins the book to the shop,
-    a two-book set joins the two books.  Parallel book-book edges keep the
+    a shop's earning sets, weighted by its saving and tagged with the
+    shop: a one-book set joins the book to the shop, a two-book set joins
+    the two books.  With at most two books a shop's earning sets follow a
+    direct rule, which is ``_earning_sets`` for k <= 2: a book alone is a
+    set if its price reaches the threshold, and the pair is one if
+    neither book reaches it alone but both do together.  Either is kept
+    only when its saving, the discount less its premium over the books'
+    cheapest prices, is positive.  Parallel book-book edges keep the
     heaviest (ties to the lower shop index).  A threshold-0 shop's only
-    earning set is empty; the caller counts its discount as a constant.
+    earning set is empty, so it adds no edge; the caller counts its
+    discount as a constant.
     """
     n = instance.num_books
+    sold: list[list[tuple[int, int]]] = [[] for _ in instance.rules]
+    for book, shop, price in instance.offers:
+        sold[shop].append((book, price))  # ascending by book
+    cheapest = instance.cheapest
     chosen: dict[tuple[int, int], tuple[int, int]] = {}
-    for s in range(instance.num_shops):
-        books = instance.books_by_shop[s]
-        if len(books) > 2:
-            raise InputError(f"shop s{s + 1} sells {len(books)} books, solver handles at most 2")
-        # A count per shop: at most two books cost a few steps, and matching2 has no step cap.
-        for ends, saving in _earning_sets(instance, s, _Steps()):
-            if len(ends) == 1:
-                chosen[(ends[0], n + s)] = (saving, s)
-            elif len(ends) == 2:
-                prev = chosen.get(ends)
+    for s, (rule, offers) in enumerate(zip(instance.rules, sold)):
+        if len(offers) > 2:
+            raise InputError(f"shop s{s + 1} sells {len(offers)} books, solver handles at most 2")
+        threshold, discount = rule.threshold, rule.discount
+        if threshold == 0:
+            continue
+        for book, price in offers:
+            saving = discount - price + cheapest[book][1]
+            if price >= threshold and saving > 0:
+                chosen[(book, n + s)] = (saving, s)
+        if len(offers) == 2:
+            (b1, p1), (b2, p2) = offers
+            saving = discount - p1 + cheapest[b1][1] - p2 + cheapest[b2][1]
+            if p1 < threshold and p2 < threshold <= p1 + p2 and saving > 0:
+                prev = chosen.get((b1, b2))
                 if prev is None or saving > prev[0]:
-                    chosen[ends] = (saving, s)
+                    chosen[(b1, b2)] = (saving, s)
     edges = tuple(
         WeightedEdge(u, v, weight, tag=s)
         for (u, v), (weight, s) in sorted(chosen.items())
@@ -505,6 +523,10 @@ def matching2_min_cost(instance: Instance) -> SolveResult:
     maximum matching in the derived graph, minus the discounts of
     threshold-0 shops which are earned no matter what.  Returns one
     cheapest plan; which one, among equally cheap plans, is not fixed.
+
+    Refuses more than 16 * ``MAX_STATES`` steps of the blossom algorithm,
+    which only the graph's cyclic components reach: V + E for each stage
+    and each dual step on a component of V vertices and E edges.
     """
     n = instance.num_books
     graph = build_discount_graph(instance)

@@ -1,15 +1,18 @@
 """Maximum-weight matching in general graphs.
 
-Primal-dual blossom algorithm, run on one connected component at a time.
-A union-find pass over the edges finds the components, and isolated
-vertices cost nothing beyond that pass.  A one-edge component is answered
-in that pass too: its edge is matched iff its weight is non-negative, as
-the blossom algorithm would match it.  Within a component of V vertices
-and E edges the algorithm takes O(V^2 (V + E)), and blossoms nest at most
-V deep, so the recursion in ``expand_blossom`` and ``augment_blossom`` is
-bounded by the component's size, not by the whole graph's.
+A union-find pass over the edges finds the connected components, each
+matched alone, and isolated vertices cost nothing beyond that pass.  A
+one-edge component is answered in that pass too: its edge is matched iff
+its weight is non-negative, as the blossom algorithm would match it.  A
+tree (E = V - 1) is matched by a dynamic program in O(V).  Only a cyclic
+component reaches the primal-dual blossom algorithm, which takes
+O(V^2 (V + E)) on a component of V vertices and E edges; its blossoms nest
+at most V deep, so the recursion in ``expand_blossom`` and
+``augment_blossom`` is bounded by the largest cyclic component, not by
+the whole graph.  Its stages and dual steps are charged against the
+step cap, 16 * ``exact.MAX_STATES``.
 
-The implementation follows the classic stage structure: each stage grows
+The blossom algorithm follows the classic stage structure: each stage grows
 alternating trees from the unmatched vertices, shrinking odd cycles into
 blossoms, until it either finds an augmenting path or proves that none
 exists under the current dual variables, in which case the duals are
@@ -28,9 +31,12 @@ a vertex stays unmatched whenever that is at least as good.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from .exact import _Steps
 
 NO_NODE = -1
 
@@ -69,10 +75,14 @@ class WeightedGraph:
 
 def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
     """Matching of maximum total weight, as a set of (u, v) pairs with u < v.
-    The graph rejected self-loops and repeated pairs when it was built."""
+    The graph rejected self-loops and repeated pairs when it was built.
+
+    Refuses cyclic components whose blossom stages and dual steps charge
+    more than 16 * ``exact.MAX_STATES`` steps in all."""
     # Union-find over the edges.  A matching is the union of matchings of
     # the connected components, so each component with an edge is solved
-    # alone, its vertices relabelled 0..k-1 in increasing id order.
+    # alone.  An edge whose ends are already joined closes a cycle, and
+    # only the components with such an edge are not trees.
     parent = list(range(graph.num_vertices))
 
     def find(v: int) -> int:
@@ -80,34 +90,106 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
             parent[v] = v = parent[parent[v]]
         return v
 
+    closing = []
     for e in graph.edges:
-        parent[find(e.u)] = find(e.v)
+        a, b = find(e.u), find(e.v)
+        if a == b:
+            closing.append(a)
+        else:
+            parent[a] = b
+    cyclic = {find(v) for v in closing}
     components: dict[int, list[WeightedEdge]] = {}
     for e in graph.edges:
         components.setdefault(find(e.u), []).append(e)
 
     pairs: set[tuple[int, int]] = set()
-    for members in components.values():
+    steps = None
+    for root, members in components.items():
         if len(members) == 1:
             # Vertex duals start at max(0, w), so the blossom would match
             # the one edge iff it is tight, that is iff w >= 0.
             (e,) = members
             if e.weight >= 0:
                 pairs.add((e.u, e.v) if e.u < e.v else (e.v, e.u))
-            continue
-        ids = sorted({x for e in members for x in (e.u, e.v)})
-        local = {v: i for i, v in enumerate(ids)}
-        edges = [(local[e.u], local[e.v], e.weight) for e in members]
-        pairs.update((ids[i], ids[j]) for i, j in _match_component(len(ids), edges))
+        elif root not in cyclic:
+            pairs.update(_match_tree(members))
+        else:
+            if steps is None:
+                # exact imports this module, so its step count and the cap
+                # it reads are imported when first needed.
+                from .exact import _Steps
+
+                steps = _Steps()
+            # Vertices relabelled 0..k-1 in increasing id order.
+            ids = sorted({x for e in members for x in (e.u, e.v)})
+            local = {v: i for i, v in enumerate(ids)}
+            edges = [(local[e.u], local[e.v], e.weight) for e in members]
+            pairs.update(
+                (ids[i], ids[j]) for i, j in _match_component(len(ids), edges, steps)
+            )
     return frozenset(pairs)
 
 
+def _match_tree(edges: list[WeightedEdge]) -> list[tuple[int, int]]:
+    """Maximum-weight matching of a tree, as (u, v) pairs with u < v, in
+    O(V).
+
+    The tree is rooted at its lowest vertex.  Taking children before
+    parents, ``free[v]``, the best weight of v's subtree with v unmatched,
+    is the sum of ``best[c]`` over v's children c, and ``best[v]`` adds
+    the largest non-negative gain ``free[c] + w(v, c) - best[c]`` of
+    matching v to a child (the first such child on a tie).  The pairs are
+    traced back from the root."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for e in edges:
+        adj.setdefault(e.u, []).append((e.v, e.weight))
+        adj.setdefault(e.v, []).append((e.u, e.weight))
+    root = min(adj)
+    up = {root: NO_NODE}
+    order = [root]  # breadth first, so each parent comes before its children
+    for v in order:
+        for c, _ in adj[v]:
+            if c not in up:
+                up[c] = v
+                order.append(c)
+
+    best: dict[int, int] = {}
+    free: dict[int, int] = {}
+    pick: dict[int, int] = {}  # the child v is matched to when v is not taken
+    for v in reversed(order):
+        total = 0
+        gain = 0
+        child = NO_NODE
+        for c, w in adj[v]:
+            if c != up[v]:
+                total += best[c]
+                g = free[c] + w - best[c]
+                if g > gain or (g == gain and child == NO_NODE):
+                    gain, child = g, c
+        free[v] = total
+        best[v] = total + gain
+        pick[v] = child
+
+    pairs = []
+    taken = set()  # vertices matched to their parent
+    for v in order:
+        c = pick[v]
+        if v not in taken and c != NO_NODE:
+            taken.add(c)
+            pairs.append((v, c) if v < c else (c, v))
+    return pairs
+
+
 def _match_component(
-    nvertex: int, edges: list[tuple[int, int, int]]
+    nvertex: int, edges: list[tuple[int, int, int]], steps: _Steps
 ) -> frozenset[tuple[int, int]]:
     """Maximum-weight matching of a graph on vertices 0..nvertex-1 with at
-    least one edge, as (i, j) pairs with i < j."""
+    least one edge, as (i, j) pairs with i < j.
+
+    Each stage and each dual step costs O(V + E), and each is charged
+    V + E steps on ``steps`` as it begins."""
     nedge = len(edges)
+    work = nvertex + nedge
     maxweight = max(max(0, wt) for (_, _, wt) in edges)
 
     # Endpoint p of edge k=p//2 is vertex edges[k][p%2]; neighbend[v] lists
@@ -380,6 +462,7 @@ def _match_component(
     for _ in range(nvertex):
         # Stage: grow alternating trees from all unmatched vertices until
         # an augmenting path is found or the duals prove optimality.
+        steps.add(work)
         label[:] = (2 * nvertex) * [0]
         allowedge[:] = nedge * [False]
         queue[:] = []
@@ -424,6 +507,7 @@ def _match_component(
             # No augmenting path under the current duals; compute the
             # least slack and adjust.  One scan over the edges finds delta2
             # (S to free) and delta3 (S to another S, half the slack).
+            steps.add(work)
             deltatype = 1
             delta = max(0, min(dualvar[:nvertex]))
             deltaedge = -1

@@ -194,6 +194,14 @@ class TestSolve:
                 "price-dp", random_instance(40, 30, seed=1), [], 1000,
                 "step count 35478 exceeds cap 16000", id="price-dp-steps",
             ),
+            # A cycle of 101 books reaches the blossom, whose stages and
+            # dual steps are charged 202 steps each.
+            pytest.param(
+                "matching2",
+                make_instance(101, [(1, 2)] * 101,
+                              [(b, s, 1) for s in range(101) for b in (s, (s + 1) % 101)]),
+                [], 100, "step count 1616 exceeds cap 1600", id="matching2-steps",
+            ),
             # 21 shops are within fstar's step cap: exit 0.
             pytest.param(
                 "fstar", make_instance(1, [(1, 1)] * 21, [(0, s, 1) for s in range(21)]), [],

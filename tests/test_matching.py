@@ -11,6 +11,7 @@ from clevershopper import (
     WeightedGraph,
     max_weight_matching,
 )
+from clevershopper import exact
 from clevershopper.matching import _match_component
 
 import bruteforce
@@ -243,10 +244,14 @@ class TestComponents:
 
     def test_one_edge_components_match_the_blossom(self):
         # max_weight_matching answers a one-edge component without the
-        # blossom.  The reference runs _match_component on every component,
-        # one-edge ones included, relabelled as max_weight_matching does.
+        # blossom, and a tree of more edges by its DP.  The reference runs
+        # _match_component on every component, relabelled as
+        # max_weight_matching does.  One-edge and cyclic components must
+        # get the same pairs from both; trees, whose DP breaks ties its own
+        # way, the same weight.
         rng = random.Random(20261020)
         signs = set()
+        kinds = set()
         for _ in range(400):
             n = 0
             triples = []
@@ -268,14 +273,44 @@ class TestComponents:
                 for u, v, w in triples
             ]
             g = graph(n, triples)
-            assert max_weight_matching(g) == blossom_per_component(g)
+            matched = max_weight_matching(g)
+            assert_valid_matching(g, matched)
+            for members, blossom in blossom_per_component(g):
+                vertices = {x for e in members for x in (e.u, e.v)}
+                mine = frozenset(pair for pair in matched if pair[0] in vertices)
+                if 1 < len(members) < len(vertices):
+                    kinds.add("tree")
+                    weight = bruteforce.matching_weight(g, blossom)
+                    assert bruteforce.matching_weight(g, mine) == weight
+                else:
+                    kinds.add("cyclic" if len(members) > 1 else "one edge")
+                    assert mine == blossom
         # One-edge components of negative, zero and positive weight.
         assert signs == {-1, 0, 1}
+        assert kinds == {"one edge", "tree", "cyclic"}
+
+    def test_trees_match_the_blossom(self):
+        # Random trees, vertex ids shuffled so that the root, the lowest
+        # id, sits anywhere in the tree: the DP's matching is valid and as
+        # heavy as the blossom's.
+        rng = random.Random(20261021)
+        for _ in range(3000):
+            n = rng.randint(2, 14)
+            ids = list(range(n))
+            rng.shuffle(ids)
+            triples = [(ids[rng.randrange(v)], ids[v], rng.randint(-2, 6)) for v in range(1, n)]
+            g = graph(n, triples)
+            matched = max_weight_matching(g)
+            assert_valid_matching(g, matched)
+            assert all(u < v for u, v in matched)
+            ((_, blossom),) = blossom_per_component(g)
+            assert bruteforce.matching_weight(g, matched) == bruteforce.matching_weight(g, blossom)
 
 
 def blossom_per_component(g):
-    """The union of ``_match_component`` over g's components, each
-    relabelled 0..k-1 in increasing id order, edges in the graph's order."""
+    """Each component of g with an edge, as its edges and the pairs
+    ``_match_component`` gives it, relabelled 0..k-1 in increasing id
+    order, edges in the graph's order."""
     parent = list(range(g.num_vertices))
 
     def find(v):
@@ -288,10 +323,11 @@ def blossom_per_component(g):
     components = {}
     for e in g.edges:
         components.setdefault(find(e.u), []).append(e)
-    pairs = set()
+    result = []
     for members in components.values():
         ids = sorted({x for e in members for x in (e.u, e.v)})
         local = {v: i for i, v in enumerate(ids)}
         edges = [(local[e.u], local[e.v], e.weight) for e in members]
-        pairs.update((ids[i], ids[j]) for i, j in _match_component(len(ids), edges))
-    return frozenset(pairs)
+        matched = _match_component(len(ids), edges, exact._Steps())
+        result.append((members, frozenset((ids[i], ids[j]) for i, j in matched)))
+    return result

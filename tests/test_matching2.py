@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from clevershopper import (
     DiscountModel,
     InputError,
+    ResourceLimitError,
     WeightedEdge,
+    WeightedGraph,
     brute_force_min_cost,
     build_discount_graph,
     evaluate_assignment,
@@ -16,8 +19,45 @@ from clevershopper import (
     max_weight_matching,
     random_instance,
 )
+from clevershopper import exact, matching
 
 import bruteforce
+
+
+def graph_from_earning_sets(instance):
+    """``build_discount_graph`` as built from each shop's ``_earning_sets``."""
+    n = instance.num_books
+    chosen = {}
+    for s in range(instance.num_shops):
+        for ends, saving in exact._earning_sets(instance, s, exact._Steps()):
+            if len(ends) == 1:
+                chosen[(ends[0], n + s)] = (saving, s)
+            elif len(ends) == 2 and (ends not in chosen or saving > chosen[ends][0]):
+                chosen[ends] = (saving, s)
+    edges = tuple(WeightedEdge(u, v, w, tag=s) for (u, v), (w, s) in sorted(chosen.items()))
+    return WeightedGraph(n + instance.num_shops, edges)
+
+
+def book_path(n, closed=False):
+    """Shop s sells books s and s + 1 at price 1 and threshold 2, with a
+    discount of 1 to 5, and one threshold-0 shop sells each book.  Closed,
+    one more shop joins the last book to the first.  Returns the instance
+    and the discounts of the pairs, in path order."""
+    rng = random.Random(n)
+    pairs = n if closed else n - 1
+    discounts = [rng.randint(1, 5) for _ in range(pairs)]
+    offers = [(b, s, 1) for s in range(pairs) for b in (s, (s + 1) % n)]
+    offers += [(b, pairs + b, 1) for b in range(n)]
+    rules = [(d, 2) for d in discounts] + [(0, 0)] * n
+    return make_instance(n, rules, offers), discounts
+
+
+def path_saving(discounts):
+    """Most discount earned by disjoint neighbouring pairs of a path."""
+    before, best = 0, 0
+    for d in discounts:
+        before, best = best, max(best, before + d)
+    return best
 
 
 class TestDiscountGraph:
@@ -136,6 +176,32 @@ class TestMatching2:
                 seed=rng.randint(0, 10**6),
                 **prices,
             )
+            assert build_discount_graph(inst) == graph_from_earning_sets(inst)
             got = matching2_min_cost(inst)
             assert got.total_cost == brute_force_min_cost(inst).total_cost
             assert evaluate_assignment(inst, got.choice) == got
+
+    def test_long_path_skips_the_blossom(self, monkeypatch):
+        # The graph is a path of 8,000 books, one tree: the DP answers it
+        # in linear time, where the blossom took about 15 s.
+        def blossom(*args):
+            raise AssertionError("a tree reached the blossom")
+
+        monkeypatch.setattr(matching, "_match_component", blossom)
+        inst, discounts = book_path(8000)
+        start = time.perf_counter()
+        result = matching2_min_cost(inst)
+        assert time.perf_counter() - start < 1.0
+        assert result.total_cost == 8000 - path_saving(discounts)
+
+    def test_blossom_step_cap(self, monkeypatch):
+        # A cycle of 101 books reaches the blossom, which charges V + E =
+        # 202 steps for each of its 47 stages and 7 dual steps: 10,908.
+        inst, discounts = book_path(101, closed=True)
+        # An odd cycle's matching leaves out the first pair or the second.
+        best = max(path_saving(discounts[1:]), path_saving(discounts[2:] + discounts[:1]))
+        monkeypatch.setattr(exact, "MAX_STATES", 682)  # a cap of 10,912 steps
+        assert matching2_min_cost(inst).total_cost == 101 - best
+        monkeypatch.setattr(exact, "MAX_STATES", 681)
+        with pytest.raises(ResourceLimitError, match="^step count 10908 exceeds cap 10896$"):
+            matching2_min_cost(inst)
