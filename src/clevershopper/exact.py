@@ -8,9 +8,10 @@
   by a search, they are threshold-minimal, so k books give at most C(k, k/2).
 * ``price_vector_min_cost``: few shops,
   pseudo-polynomial in prices.  DP over per-shop spend vectors, one book
-  at a time, pruned by a lower bound against the budget or the cheapest
-  plan: a vector is dropped once even buying every remaining book at its
-  cheapest shop and earning every discount still in reach costs more.
+  at a time, dearest first, pruned by a lower bound against the budget or
+  the cheapest plan: a vector is dropped once even buying every remaining
+  book at its cheapest shop and earning every discount still in reach
+  costs more.
   Interchangeable shops (the same rule, the same books at the same
   prices) can swap spends without changing a bound, so a layer is a set
   of canonical vectors, one per orbit, whose spends ascend within each
@@ -20,9 +21,9 @@
   what it adds.  A budget below that bound is below every plan's cost and
   is answered None without building a layer.  Among several cheapest plans, the one
   with the smallest final spend vector is returned, traced back book by
-  book, from the last, to the lexicographically smallest kept vector
-  before it: of the book's offers, in shop order with zero prices last,
-  the first whose predecessor, once made canonical, is in the layer.
+  book, from the last placed, to the lexicographically smallest kept
+  vector before it: of the book's offers, in shop order with zero prices
+  last, the first whose predecessor, once made canonical, is in the layer.
   Given a budget, it answers the budget question with that plan as the
   witness for yes, or None for no.
 * ``matching2_min_cost``: every shop sells at most two books.  Reduces to
@@ -298,24 +299,27 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     """Minimum cost via a DP over per-shop spend vectors, pruned by a lower
     bound against the budget or the cheapest plan.
 
-    Books are placed one at a time, and each layer holds the spend vectors
-    reachable so far.  A vector is one int of equal bit fields, wide enough
-    for the most any shop sells, with shop 0 in the highest field, so int
-    order is the spends' lexicographic order.  After books 0..i-1, a vector
-    v is dropped when
+    Books are placed one at a time, dearest first: in descending order of
+    their dearest offer, ties to the lower book index.  Each layer holds
+    the spend vectors reachable so far.  A vector is one int of equal bit
+    fields, wide enough for the most any shop sells, with shop 0 in the
+    highest field, so int order is the spends' lexicographic order.  After
+    the first i books of that order, a vector v is dropped when
 
         LB(v) = sum(v) + R_i - (discounts of the shops s with v_s + A_si >= t_s)
 
-    exceeds the bound: R_i is the total of the cheapest prices of books
-    i..n-1, and A_si is what shop s charges for those of them it sells.  No
-    plan extending v costs less than LB(v), so no prefix of a plan within
-    the bound is dropped.  The bound is the cost of the cheapest plan, or
-    ``budget`` if that is lower; returns None when every plan costs more
-    than ``budget``.  Given a budget, it returns None before the first
-    layer if ``_root_bound``, a lower bound on the cost of every plan,
-    exceeds the bound.  That happens only for a budget below the cheapest
-    plan's cost, and then no plan is within it, so the answer is the one
-    the layers would give.
+    exceeds the bound: R_i is the total of the cheapest prices of the books
+    not yet placed, and A_si is what shop s charges for those of them it
+    sells.  No plan extending v costs less than LB(v), so no prefix of a
+    plan within the bound is dropped, and the last layer holds the same
+    vectors in any order.  Placing the dearest books first shrinks R_i and
+    A_si early, so the bound drops vectors sooner.  The bound is the cost
+    of the cheapest plan, or ``budget`` if that is lower; returns None when
+    every plan costs more than ``budget``.  Given a budget, it returns None
+    before the first layer if ``_root_bound``, a lower bound on the cost of
+    every plan, exceeds the bound.  That happens only for a budget below
+    the cheapest plan's cost, and then no plan is within it, so the answer
+    is the one the layers would give.
 
     Interchangeable shops (``_interchangeable``) have the same A_si, t_s
     and discount, so swapping their spends changes no LB(v), and the kept
@@ -325,10 +329,11 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
 
     Among several cheapest plans, returns the one whose final spend vector
     is smallest; it ascends within each group, so it is canonical.  Each
-    book b, from the last, goes back from v to the first of its offers, in
-    shop order with zero prices last, whose predecessor v less that price
-    at that shop is kept (its canonical form is in layer b): the
-    lexicographically smallest kept predecessor of v.
+    book, from the last placed back, goes back from v to the first of its
+    offers, in shop order with zero prices last, whose predecessor v less
+    that price at that shop is kept (its canonical form is in the layer
+    before the book's): the lexicographically smallest kept predecessor of
+    v.
 
     Refuses more than ``MAX_STATES`` kept vectors, or more than 16 *
     ``MAX_STATES`` steps, charged as each book's pass begins: m per kept
@@ -350,14 +355,20 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
     # Shop s's spend is the W-bit field at shift[s], where W fits the most
     # any shop sells; raising it by p adds p << shift[s].
     sells = [0] * m
-    for _, shop, price in instance.offers:
+    top = [0] * n  # each book's dearest price
+    for book, shop, price in instance.offers:
         sells[shop] += price
+        if price > top[book]:
+            top[book] = price
+    # Dearest books first, ties to the lower index (sorted is stable).
+    order = sorted(range(n), key=top.__getitem__, reverse=True)
     width = max(max(sells, default=0).bit_length(), 1)
     shift = [width * (m - 1 - s) for s in range(m)]
     mask = (1 << width) - 1
 
-    # In book b's pass, rest = R_(b+1) and reach[s] = t_s - A_s(b+1): from
-    # that spend after books 0..b, the books left can still earn s's discount.
+    # In the pass of order[i], rest = R_(i+1) and reach[s] = t_s - A_s(i+1):
+    # from that spend after order[0..i], the books left can still earn s's
+    # discount.
     cheap = rest = sum(price for _, price in instance.cheapest)
     reach = [rule.threshold - sold for rule, sold in zip(instance.rules, sells)]
 
@@ -368,11 +379,11 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         for i, s in enumerate(group):
             later[s] = groups[-1][i + 1 :]
 
-    # layers[i] holds the kept canonical spend vectors after books 0..i-1.
+    # layers[i] holds the kept canonical spend vectors after order[0..i-1].
     layers: list[set[int]] = [{0}]
     total = 1
     steps = _Steps()
-    for b in range(n):
+    for b in order:
         offers = instance.offers_by_book[b]
         for shop, price in offers:
             reach[shop] += price
@@ -383,7 +394,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         # Each state adds at most one vector per offer of book b, so a
         # layer within this product cannot pass the cap and skips the test.
         capped = len(layers[-1]) * len(offers) > room
-        # A successor's LB - R_(b+1) is base + the price of book b, less
+        # A successor's LB - R_(i+1) is base + the price of book b, less
         # the discount of its shop if that price lifts the spend there to
         # ``reach``: base counts the discounts already in reach.
         fields = list(zip(shift, reach, discount))
@@ -452,7 +463,8 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
         return v
 
     claims = []  # every book, at the shop whose offer leads back to a kept vector
-    for b in range(n - 1, -1, -1):
+    for i in range(n - 1, -1, -1):
+        b = order[i]
         offers = instance.offers_by_book[b]
         if instance.cheapest[b][1] == 0:  # zero prices go last
             offers = sorted(offers, key=lambda offer: offer[1] == 0)
@@ -460,7 +472,7 @@ def price_vector_min_cost(instance: Instance, budget: int | None = None) -> Solv
             if state >> shift[shop] & mask < price:
                 continue
             prev = state - (price << shift[shop])
-            if (canonical(prev) if groups else prev) in layers[b]:
+            if (canonical(prev) if groups else prev) in layers[i]:
                 break
         state = prev
         claims.append((b, shop))

@@ -23,15 +23,23 @@ from clevershopper import (
 from clevershopper import exact
 
 
+def _placing_order(inst):
+    """The order price-dp places books in: dearest offer first, ties to the
+    lower book index."""
+    return sorted(range(inst.num_books), key=lambda b: (
+        -max(price for _, price in inst.offers_by_book[b]), b))
+
+
 def _assert_pinned_plan(inst, rng):
     """price-dp returns the pinned plan, not only a cheapest one: the
-    smallest final spend vector, then, from the last book back, a positive
-    price before a zero one and the lower shop first.  It returns it at
-    budgets from its cost up, and None one below."""
+    smallest final spend vector, then, from the last book placed back, a
+    positive price before a zero one and the lower shop first.  It returns
+    it at budgets from its cost up, and None one below."""
+    order = _placing_order(inst)
 
     def key(result):
         tail = tuple((inst.price[b, result.choice[b]] == 0, result.choice[b])
-                     for b in reversed(range(inst.num_books)))
+                     for b in reversed(order))
         return (result.total_cost, result.per_shop_spend, tail)
 
     plans = itertools.product(*([s for s, _ in pairs] for pairs in inst.offers_by_book))
@@ -107,12 +115,33 @@ class TestDecision:
     @pytest.mark.parametrize("last, answer", [(22, True), (23, False)])
     def test_budget_prunes_spend_vectors(self, monkeypatch, last, answer):
         # Without pruning, both gadgets reach about 1,585 spend vectors;
-        # dropping those that cannot meet the budget leaves about 573.  The
-        # "no" gadget has an odd total, so the root bound now answers it
-        # before the first layer.
+        # dropping those that cannot meet the budget leaves 173 on the
+        # "yes" gadget.  The "no" gadget has an odd total, so the root
+        # bound answers it before the first layer.
         gen = from_partition((17, 23, 5, 41, 8, 30, 12, 19, 27, 36, 9, 14, 11, last))
         monkeypatch.setattr(exact, "MAX_STATES", 1_000)
         assert (price_vector_min_cost(gen.instance, gen.target_budget) is not None) is answer
+
+    def test_outsized_item_answered_at_the_first_book(self, monkeypatch):
+        # An even total whose largest item is over half of it: no plan
+        # meets the budget.  Placed first, that item lifts no vector to
+        # within the bound, so no layer grows; placed last, as in index
+        # order, it leaves every balance of the other items in reach and
+        # passes a cap of 100.
+        gen = from_partition((17, 23, 5, 41, 8, 30, 12, 19, 27, 36, 9, 14, 11, 254))
+        monkeypatch.setattr(exact, "MAX_STATES", 100)
+        assert price_vector_min_cost(gen.instance, gen.target_budget) is None
+
+    def test_dearest_first_keeps_few_vectors(self, monkeypatch):
+        # A 22-item partition "yes" gadget (the larger of the seed-0
+        # few-shops gadgets).  Placed dearest first it keeps 11,377 vectors
+        # in all; placed in index order it kept 47,516, and a cap of
+        # 12,000 refused it.
+        gen = from_partition((3871, 3880, 2726, 3190, 2341, 2514, 3131, 72, 300, 4532, 477,
+                              1722, 634, 223, 4884, 2854, 3795, 3202, 2454, 4165, 778, 3051))
+        monkeypatch.setattr(exact, "MAX_STATES", 12_000)
+        result = price_vector_min_cost(gen.instance, gen.target_budget)
+        assert result is not None and result.total_cost <= gen.target_budget
 
 
 class TestOptimization:
@@ -147,8 +176,9 @@ class TestOptimization:
 
     def test_state_cap(self, monkeypatch):
         inst = random_instance(8, 3, max_price=9, seed=1)
-        monkeypatch.setattr(exact, "MAX_STATES", 10)
-        with pytest.raises(ResourceLimitError, match="reachable state count 11 exceeds cap 10"):
+        # Placed dearest first, its layers hold 10 vectors in all.
+        monkeypatch.setattr(exact, "MAX_STATES", 9)
+        with pytest.raises(ResourceLimitError, match="reachable state count 10 exceeds cap 9"):
             price_vector_min_cost(inst)
 
     @pytest.mark.parametrize("cap", [100, 10_000])
