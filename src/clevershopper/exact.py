@@ -29,8 +29,8 @@
 * ``matching2_min_cost``: every shop sells at most two books.  Reduces to
   maximum-weight matching in a graph whose edges are the shops' earning
   sets, read off each shop's two offers: a one-book set joins the book to
-  the shop, a two-book set joins the two books.  Tree components of the
-  graph are matched in linear time, and only cyclic ones by the blossom
+  the shop, a two-book set joins the two books.  Pendant trees are
+  peeled in linear time, and only the graph's 2-core reaches the blossom
   algorithm.
 * ``fstar_unit_price_min_cost``: unit prices, few shops.  Branch and
   bound over the sets of shops that earn their discounts, in lexicographic
@@ -537,8 +537,9 @@ def matching2_min_cost(instance: Instance) -> SolveResult:
     cheapest plan; which one, among equally cheap plans, is not fixed.
 
     Refuses more than 16 * ``MAX_STATES`` steps of the blossom algorithm,
-    which only the graph's cyclic components reach: V + E for each stage
-    and each dual step on a component of V vertices and E edges.
+    which only the graph's 2-core reaches, once its pendant trees are
+    peeled: V + E for each stage and each dual step on a core component of
+    V vertices and E edges.
     """
     n = instance.num_books
     graph = build_discount_graph(instance)

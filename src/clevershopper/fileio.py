@@ -123,16 +123,24 @@ def parse_instance(text: str) -> Instance:
             _int(tokens[3], no, "price")
             raise ParseError(no, "price must be non-negative")
         elif kind == "SHOP":
+            try:
+                _, i, d, t = tokens
+                shop, discount, threshold = int(i) - 1, int(d), int(t)
+            except ValueError:
+                shop = -1
+            if 0 <= shop < num_shops and shop not in rules and discount >= 0 and threshold >= 0:
+                rules[shop] = (discount, threshold)
+                continue
+            # A bad line: raise its first fault in field order.  Past these
+            # checks, only a negative discount or threshold is left.
             if len(tokens) != 4:
                 raise ParseError(no, "expected 'SHOP <id> <discount> <threshold>'")
             shop = _index(tokens[1], no, "shop id", num_shops)
             if shop in rules:
                 raise ParseError(no, f"duplicate SHOP line for shop {shop + 1}")
-            discount = _int(tokens[2], no, "discount")
-            threshold = _int(tokens[3], no, "threshold")
-            if discount < 0 or threshold < 0:
-                raise ParseError(no, "discount and threshold must be non-negative")
-            rules[shop] = (discount, threshold)
+            _int(tokens[2], no, "discount")
+            _int(tokens[3], no, "threshold")
+            raise ParseError(no, "discount and threshold must be non-negative")
         elif kind == "BUDGET":
             if len(tokens) != 2:
                 raise ParseError(no, "expected 'BUDGET <value>'")

@@ -1,16 +1,17 @@
 """Maximum-weight matching in general graphs.
 
-A union-find pass over the edges finds the connected components, each
-matched alone, and isolated vertices cost nothing beyond that pass.  A
-one-edge component is answered in that pass too: its edge is matched iff
-its weight is non-negative, as the blossom algorithm would match it.  A
-tree (E = V - 1) is matched by a dynamic program in O(V).  Only a cyclic
-component reaches the primal-dual blossom algorithm, which takes
-O(V^2 (V + E)) on a component of V vertices and E edges; its blossoms nest
-at most V deep, so the recursion in ``expand_blossom`` and
-``augment_blossom`` is bounded by the largest cyclic component, not by
-the whole graph.  Its stages and dual steps are charged against the
-step cap, 16 * ``exact.MAX_STATES``.
+One O(V + E) pass peels the graph down to its 2-core: a vertex of degree
+1 is folded into its one remaining neighbour by the tree DP, until every
+vertex left has degree 0 (the last vertex of a tree, or an isolated one)
+or at least 2.  Trees, one-edge components among them, are matched by
+that pass alone.  Each component of the 2-core goes to the primal-dual
+blossom algorithm, with every edge's weight less what its ends gain by
+being matched into their pendant trees.  The blossom takes
+O(V^2 (V + E)) on a core component of V vertices and E edges; its
+blossoms nest at most V deep, so the recursion in ``expand_blossom`` and
+``augment_blossom`` is bounded by the largest core component, not by the
+whole graph.  Its stages and dual steps are charged against the step cap,
+16 * ``exact.MAX_STATES``.  A trace-back then matches the peeled vertices.
 
 The blossom algorithm follows the classic stage structure: each stage grows
 alternating trees from the unmatched vertices, shrinking odd cycles into
@@ -31,7 +32,7 @@ a vertex stays unmatched whenever that is at least as good.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -41,8 +42,7 @@ if TYPE_CHECKING:
 NO_NODE = -1
 
 
-@dataclass(frozen=True)
-class WeightedEdge:
+class WeightedEdge(NamedTuple):
     u: int
     v: int
     weight: int
@@ -62,12 +62,12 @@ class WeightedGraph:
 
     def __post_init__(self) -> None:
         seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            if e.u == e.v:
-                raise InputError(f"self-loop at vertex {e.u}")
-            if not (0 <= e.u < self.num_vertices and 0 <= e.v < self.num_vertices):
-                raise InputError(f"edge ({e.u}, {e.v}) out of range")
-            key = (min(e.u, e.v), max(e.u, e.v))
+        for u, v, _, _ in self.edges:
+            if u == v:
+                raise InputError(f"self-loop at vertex {u}")
+            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+                raise InputError(f"edge ({u}, {v}) out of range")
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise InputError(f"duplicate edge {key}")
             seen.add(key)
@@ -77,107 +77,92 @@ def max_weight_matching(graph: WeightedGraph) -> frozenset[tuple[int, int]]:
     """Matching of maximum total weight, as a set of (u, v) pairs with u < v.
     The graph rejected self-loops and repeated pairs when it was built.
 
-    Refuses cyclic components whose blossom stages and dual steps charge
+    Peels the pendant trees in O(V + E), runs the blossom on each
+    component of the 2-core that is left, and traces the peeled vertices
+    back.  Refuses 2-cores whose blossom stages and dual steps charge
     more than 16 * ``exact.MAX_STATES`` steps in all."""
-    # Union-find over the edges.  A matching is the union of matchings of
-    # the connected components, so each component with an edge is solved
-    # alone.  An edge whose ends are already joined closes a cycle, and
-    # only the components with such an edge are not trees.
-    parent = list(range(graph.num_vertices))
+    n = graph.num_vertices
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, w, _ in graph.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    degree = [len(near) for near in adj]
+
+    # Peel: the tree DP, run leaves first.  gain[u] is what the trees
+    # folded into u gain if u is matched into them, to its child pick[u],
+    # over leaving u unmatched: the largest gain >= 0, the first on a tie.
+    # Matching u to a child v gains the edge's weight less gain[v], which
+    # v then gives up.  A peeled vertex has degree 0, so the neighbour
+    # left is the one of positive degree.  A vertex whose degree falls to
+    # 0 is the last of a tree and stays unpeeled.  ``order`` lists each
+    # vertex after every vertex folded into it.
+    gain = [0] * n
+    pick = [NO_NODE] * n
+    order: list[int] = []
+    stack = [v for v in range(n - 1, -1, -1) if degree[v] == 1]  # lowest id on top
+    while stack:
+        v = stack.pop()
+        if degree[v] != 1:
+            continue
+        degree[v] = 0
+        order.append(v)
+        for u, w in adj[v]:
+            if degree[u]:
+                break
+        g = w - gain[v]
+        if g > gain[u] or (g == gain[u] and pick[u] == NO_NODE):
+            gain[u], pick[u] = g, v
+        degree[u] -= 1
+        if degree[u] == 1:
+            stack.append(u)
+        elif degree[u] == 0:
+            order.append(u)
+
+    # The 2-core is the edges between vertices of positive degree.  A core
+    # vertex matched in the core gives up its gain, so a core edge is worth
+    # its weight less the gains of its ends, and a matching of the core by
+    # those weights is the blossom's to maximise.  Union-find over the
+    # core edges splits it into components.
+    parent: dict[int, int] = {}
 
     def find(v: int) -> int:
-        while parent[v] != v:
+        while parent.setdefault(v, v) != v:
             parent[v] = v = parent[parent[v]]
         return v
 
-    closing = []
-    for e in graph.edges:
-        a, b = find(e.u), find(e.v)
-        if a == b:
-            closing.append(a)
-        else:
-            parent[a] = b
-    cyclic = {find(v) for v in closing}
-    components: dict[int, list[WeightedEdge]] = {}
-    for e in graph.edges:
-        components.setdefault(find(e.u), []).append(e)
+    core = []
+    for u, v, w, _ in graph.edges:
+        if degree[u] and degree[v]:
+            core.append((u, v, w - gain[u] - gain[v]))
+            parent[find(u)] = find(v)
+    components: dict[int, list[tuple[int, int, int]]] = {}
+    for e in core:
+        components.setdefault(find(e[0]), []).append(e)
 
     pairs: set[tuple[int, int]] = set()
-    steps = None
-    for root, members in components.items():
-        if len(members) == 1:
-            # Vertex duals start at max(0, w), so the blossom would match
-            # the one edge iff it is tight, that is iff w >= 0.
-            (e,) = members
-            if e.weight >= 0:
-                pairs.add((e.u, e.v) if e.u < e.v else (e.v, e.u))
-        elif root not in cyclic:
-            pairs.update(_match_tree(members))
-        else:
-            if steps is None:
-                # exact imports this module, so its step count and the cap
-                # it reads are imported when first needed.
-                from .exact import _Steps
+    taken: set[int] = set()  # vertices matched to the core or a parent
+    # exact imports this module, so its step count and the cap it reads
+    # are imported when first needed.
+    from .exact import _Steps
 
-                steps = _Steps()
-            # Vertices relabelled 0..k-1 in increasing id order.
-            ids = sorted({x for e in members for x in (e.u, e.v)})
-            local = {v: i for i, v in enumerate(ids)}
-            edges = [(local[e.u], local[e.v], e.weight) for e in members]
-            pairs.update(
-                (ids[i], ids[j]) for i, j in _match_component(len(ids), edges, steps)
-            )
-    return frozenset(pairs)
+    steps = _Steps()
+    for members in components.values():
+        # Vertices relabelled 0..k-1 in increasing id order.
+        ids = sorted({x for u, v, _ in members for x in (u, v)})
+        local = {v: i for i, v in enumerate(ids)}
+        edges = [(local[u], local[v], w) for u, v, w in members]
+        for i, j in _match_component(len(ids), edges, steps):
+            pairs.add((ids[i], ids[j]))
+            taken.update((ids[i], ids[j]))
+    order += parent  # the core's vertices, so they are traced back first
 
-
-def _match_tree(edges: list[WeightedEdge]) -> list[tuple[int, int]]:
-    """Maximum-weight matching of a tree, as (u, v) pairs with u < v, in
-    O(V).
-
-    The tree is rooted at its lowest vertex.  Taking children before
-    parents, ``free[v]``, the best weight of v's subtree with v unmatched,
-    is the sum of ``best[c]`` over v's children c, and ``best[v]`` adds
-    the largest non-negative gain ``free[c] + w(v, c) - best[c]`` of
-    matching v to a child (the first such child on a tie).  The pairs are
-    traced back from the root."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for e in edges:
-        adj.setdefault(e.u, []).append((e.v, e.weight))
-        adj.setdefault(e.v, []).append((e.u, e.weight))
-    root = min(adj)
-    up = {root: NO_NODE}
-    order = [root]  # breadth first, so each parent comes before its children
-    for v in order:
-        for c, _ in adj[v]:
-            if c not in up:
-                up[c] = v
-                order.append(c)
-
-    best: dict[int, int] = {}
-    free: dict[int, int] = {}
-    pick: dict[int, int] = {}  # the child v is matched to when v is not taken
+    # Trace back, each vertex before those folded into it.
     for v in reversed(order):
-        total = 0
-        gain = 0
-        child = NO_NODE
-        for c, w in adj[v]:
-            if c != up[v]:
-                total += best[c]
-                g = free[c] + w - best[c]
-                if g > gain or (g == gain and child == NO_NODE):
-                    gain, child = g, c
-        free[v] = total
-        best[v] = total + gain
-        pick[v] = child
-
-    pairs = []
-    taken = set()  # vertices matched to their parent
-    for v in order:
         c = pick[v]
-        if v not in taken and c != NO_NODE:
+        if c != NO_NODE and v not in taken:
             taken.add(c)
-            pairs.append((v, c) if v < c else (c, v))
-    return pairs
+            pairs.add((v, c) if v < c else (c, v))
+    return frozenset(pairs)
 
 
 def _match_component(

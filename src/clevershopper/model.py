@@ -177,19 +177,18 @@ def evaluate_assignment(instance: Instance, choice: Sequence[int]) -> SolveResul
         raise InputError(f"the solution assigns book b{len(choice) + 1} to no shop")
     if len(choice) > instance.num_books:
         raise DanglingIndex("book", instance.num_books, instance.num_books)
-    spends = [0] * instance.num_shops
+    m = instance.num_shops
+    spends = [0] * m
     offers_by_book = instance.offers_by_book
     for book, shop in enumerate(choice):
-        if not 0 <= shop < instance.num_shops:
-            raise DanglingIndex("shop", shop, instance.num_shops)
+        if not 0 <= shop < m:
+            raise DanglingIndex("shop", shop, m)
         pairs = offers_by_book[book]
         i = bisect_left(pairs, (shop,))
         if i == len(pairs) or pairs[i][0] != shop:
             raise InputError(f"no offer for book b{book + 1} at shop s{shop + 1}")
         spends[shop] += pairs[i][1]
-    total_discount = sum(
-        discount_earned(rule, spends[s]) for s, rule in enumerate(instance.rules)
-    )
+    total_discount = sum(map(discount_earned, instance.rules, spends))
     return SolveResult(
         choice=choice,
         total_cost=sum(spends) - total_discount,

@@ -243,15 +243,17 @@ class TestComponents:
             )
 
     def test_one_edge_components_match_the_blossom(self):
-        # max_weight_matching answers a one-edge component without the
-        # blossom, and a tree of more edges by its DP.  The reference runs
-        # _match_component on every component, relabelled as
-        # max_weight_matching does.  One-edge and cyclic components must
-        # get the same pairs from both; trees, whose DP breaks ties its own
-        # way, the same weight.
+        # max_weight_matching peels pendant trees and runs the blossom on
+        # what is left, the 2-core.  The reference runs _match_component on
+        # every component, relabelled as max_weight_matching does.  A
+        # one-edge component is peeled the way the blossom matches it, and
+        # a core component (cyclic, every vertex of degree >= 2) reaches
+        # the blossom unchanged: both must get the same pairs.  Trees and
+        # cyclic components with pendant trees, where the peel breaks ties
+        # its own way, must get the same weight.
         rng = random.Random(20261020)
         signs = set()
-        kinds = set()
+        kinds = {}
         for _ in range(400):
             n = 0
             triples = []
@@ -276,18 +278,26 @@ class TestComponents:
             matched = max_weight_matching(g)
             assert_valid_matching(g, matched)
             for members, blossom in blossom_per_component(g):
-                vertices = {x for e in members for x in (e.u, e.v)}
+                ends = [x for e in members for x in (e.u, e.v)]
+                vertices = set(ends)
                 mine = frozenset(pair for pair in matched if pair[0] in vertices)
-                if 1 < len(members) < len(vertices):
-                    kinds.add("tree")
+                if len(members) == 1:
+                    kind = "one edge"
+                elif len(members) == len(vertices) - 1:
+                    kind = "tree"
+                elif all(ends.count(x) >= 2 for x in vertices):
+                    kind = "core"
+                else:
+                    kind = "pendant trees"
+                kinds[kind] = kinds.get(kind, 0) + 1
+                if kind in ("one edge", "core"):
+                    assert mine == blossom
+                else:
                     weight = bruteforce.matching_weight(g, blossom)
                     assert bruteforce.matching_weight(g, mine) == weight
-                else:
-                    kinds.add("cyclic" if len(members) > 1 else "one edge")
-                    assert mine == blossom
         # One-edge components of negative, zero and positive weight.
         assert signs == {-1, 0, 1}
-        assert kinds == {"one edge", "tree", "cyclic"}
+        assert set(kinds) == {"one edge", "tree", "core", "pendant trees"}
 
     def test_trees_match_the_blossom(self):
         # Random trees, vertex ids shuffled so that the root, the lowest

@@ -52,6 +52,17 @@ def book_path(n, closed=False):
     return make_instance(n, rules, offers), discounts
 
 
+def book_lasso(n):
+    """``book_path(n)`` and one more shop, of discount 3 and threshold 2,
+    that sells books 0 and 2 at price 1: the discount graph is a triangle
+    of books 0 to 2 with the rest of the path as its tail.  Returns the
+    instance and the path's discounts."""
+    inst, discounts = book_path(n)
+    rules = [(rule.discount, rule.threshold) for rule in inst.rules] + [(3, 2)]
+    offers = list(inst.offers) + [(0, inst.num_shops, 1), (2, inst.num_shops, 1)]
+    return make_instance(n, rules, offers), discounts
+
+
 def path_saving(discounts):
     """Most discount earned by disjoint neighbouring pairs of a path."""
     before, best = 0, 0
@@ -193,6 +204,29 @@ class TestMatching2:
         result = matching2_min_cost(inst)
         assert time.perf_counter() - start < 1.0
         assert result.total_cost == 8000 - path_saving(discounts)
+
+    def test_lasso_sends_only_its_cycle_to_the_blossom(self, monkeypatch):
+        small, _ = book_lasso(12)
+        assert matching2_min_cost(small).total_cost == brute_force_min_cost(small).total_cost
+
+        # At 8,000 books the tail is peeled, and the blossom sees the
+        # triangle alone, where on the whole component it passed the step
+        # cap after 10 s or more.
+        sizes = []
+        blossom = matching._match_component
+
+        def recording(nvertex, edges, steps):
+            sizes.append(nvertex)
+            return blossom(nvertex, edges, steps)
+
+        monkeypatch.setattr(matching, "_match_component", recording)
+        inst, discounts = book_lasso(8000)
+        result = matching2_min_cost(inst)
+        assert sizes == [3]
+        # Books 0 and 2 earn the extra shop's 3, or the path is matched alone.
+        best = max(path_saving(discounts), 3 + path_saving(discounts[3:]))
+        assert result.total_cost == 8000 - best
+        assert evaluate_assignment(inst, result.choice) == result
 
     def test_blossom_step_cap(self, monkeypatch):
         # A cycle of 101 books reaches the blossom, which charges V + E =
